@@ -57,6 +57,21 @@ void BM_Figure1_RejectsCyclic(benchmark::State& state) {
 }
 BENCHMARK(BM_Figure1_RejectsCyclic)->Range(8, 512);
 
+void BM_Figure1_SharedWinChains(benchmark::State& state) {
+  // Every w rule's m literal is ground once m settles; the reduction
+  // decides each with one lookup, so the cost is linear in the rules.
+  const int chains = static_cast<int>(state.range(0));
+  const int length = static_cast<int>(state.range(1));
+  TermStore store;
+  auto parsed = ParseProgram(store, bench::SharedWinChains(chains, length));
+  for (auto _ : state) {
+    ModularResult r = CheckModularHiLog(store, *parsed, ModularOptions());
+    benchmark::DoNotOptimize(r.modularly_stratified);
+  }
+  state.SetItemsProcessed(state.iterations() * chains * length);
+}
+BENCHMARK(BM_Figure1_SharedWinChains)->Args({8, 16})->Args({64, 128});
+
 void BM_NormalChecker_Layered(benchmark::State& state) {
   // Definition 6.4 on a wide stratified program: many singleton
   // components processed in topological order.

@@ -88,6 +88,28 @@ inline std::string MultiWinChains(int chains, int length) {
   return text;
 }
 
+// `chains` ground win/move chains of `length` positions sharing one w/m
+// predicate pair; every other chain ends in a self-loop that leaves it
+// undefined. Figure 1 settles m, then reduces every w rule against it, so
+// the shape measures whether a ground settled literal costs one lookup or
+// a scan of the whole m relation.
+inline std::string SharedWinChains(int chains, int length) {
+  std::string text;
+  for (int c = 0; c < chains; ++c) {
+    auto at = [&](int i) {
+      return "c" + std::to_string(c) + "_" + std::to_string(i);
+    };
+    const int last = c % 2 == 1 ? length : length - 1;
+    for (int i = 0; i <= last; ++i) {
+      const int to = i < length ? i + 1 : length;
+      std::string move = "m(" + at(i) + "," + at(to) + ")";
+      text += "w(" + at(i) + ") :- " + move + ", ~w(" + at(to) + ").\n";
+      text += move + ".\n";
+    }
+  }
+  return text;
+}
+
 // A `layers`-deep stack of negation strata, `width` predicates wide:
 // every layer-l predicate depends positively on its layer-(l-1)
 // counterpart and negatively on a layer-(l-1) neighbour. Stratified, so

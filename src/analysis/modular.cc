@@ -83,6 +83,12 @@ ReductionResult HiLogReduce(TermStore& store, const std::vector<Rule>& rules,
       TermId name = store.PredName(lit.atom);
       Rule remainder = rule;
       remainder.body.erase(remainder.body.begin() + positive_index);
+      if (store.IsGround(lit.atom)) {
+        // A ground atom matches at most itself, binding nothing: one
+        // lookup decides it, instead of a scan of the whole relation.
+        if (settled.IsTrue(lit.atom)) worklist.push_back(std::move(remainder));
+        continue;
+      }
       for (TermId fact : settled.true_atoms().WithName(name)) {
         Substitution subst;
         if (MatchInto(store, lit.atom, fact, &subst)) {

@@ -26,6 +26,7 @@ std::unique_ptr<Engine> Engine::Fork() const {
   fork->edb_names_cache_ = edb_names_cache_;
   fork->edb_facts_base_ = edb_facts_base_;
   fork->edb_cache_valid_ = edb_cache_valid_;
+  // Copies pointers only: settled entries are immutable and shared.
   fork->scheduler_cache_ = scheduler_cache_;
   // CopyFrom preserves TermIds, so the compiled programs' atom and
   // variable ids mean the same terms in the fork.

@@ -89,14 +89,15 @@ class Engine {
   const obs::TraceBuffer* trace() const { return trace_.get(); }
   obs::TraceBuffer* trace() { return trace_.get(); }
 
-  /// Deep-copies this engine into a fresh one: same options, a CopyFrom
-  /// clone of the term store (every TermId means the same term in both),
-  /// the loaded program, the EDB caches, and — the point — the settled-
+  /// Copies this engine into a fresh one: same options, a CopyFrom clone
+  /// of the term store (every TermId means the same term in both), the
+  /// loaded program, the EDB caches, and — the point — the settled-
   /// component scheduler cache, so the fork's first well-founded solve
-  /// replays unchanged components instead of recomputing them. Metrics
-  /// and trace start fresh. `this` is read-only during the call; the fork
-  /// shares no mutable state with it afterwards (the snapshot store forks
-  /// a published prototype to seed the next epoch's snapshot).
+  /// replays unchanged components instead of recomputing them. The cache's
+  /// entries are immutable and shared, not copied. Metrics and trace start
+  /// fresh. `this` is read-only during the call; the fork shares no
+  /// mutable state with it afterwards (the snapshot store forks a
+  /// published prototype to seed the next epoch's snapshot).
   std::unique_ptr<Engine> Fork() const;
 
   /// Parses and loads program text. Returns an empty string on success,

@@ -12,6 +12,7 @@
 #include "src/lang/printer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/term/unify.h"
 #include "src/wfs/alternating.h"
 
 namespace hilog {
@@ -48,6 +49,108 @@ ProgramCondensation CondenseProgram(const TermStore& store,
     cond.rules_of[cond.component_of[cond.graph.Find(head_name)]].push_back(r);
   }
   return cond;
+}
+
+GuardedProgram InstantiateGuardedNames(TermStore& store,
+                                       const Program& program,
+                                       KernelCache* kernel_cache) {
+  GuardedProgram out;
+  // Rules with a variable in some predicate name, and the non-ground head
+  // names among them (a guard's name must match none of those).
+  std::vector<size_t> variable_named;
+  std::vector<TermId> variable_heads;
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    const Rule& rule = program.rules[r];
+    TermId head_name = store.PredName(rule.head);
+    bool ground = store.IsGround(head_name);
+    if (!ground) variable_heads.push_back(head_name);
+    for (const Literal& lit : rule.body) {
+      if (lit.atom != kNoTerm && !store.IsGround(store.PredName(lit.atom))) {
+        ground = false;
+      }
+    }
+    if (!ground) variable_named.push_back(r);
+  }
+  if (variable_named.empty()) return out;
+
+  // Candidate guard names: the ground names of those rules' positive
+  // literals. A candidate stays a guard while its relation is fact-only.
+  std::unordered_map<TermId, bool> is_guard;
+  for (size_t r : variable_named) {
+    for (const Literal& lit : program.rules[r].body) {
+      if (!lit.positive()) continue;
+      TermId name = store.PredName(lit.atom);
+      if (store.IsGround(name)) is_guard.emplace(name, true);
+    }
+  }
+  for (auto& [name, guard] : is_guard) {
+    for (TermId head_name : variable_heads) {
+      Substitution unused;
+      if (MatchInto(store, head_name, name, &unused)) {
+        guard = false;
+        break;
+      }
+    }
+  }
+  FactBase guard_facts;  // Deduplicated; other names' facts never match.
+  for (const Rule& rule : program.rules) {
+    auto it = is_guard.find(store.PredName(rule.head));
+    if (it == is_guard.end()) continue;
+    if (rule.IsFact() && store.IsGround(rule.head)) {
+      guard_facts.Insert(store, rule.head);
+    } else {
+      it->second = false;
+    }
+  }
+
+  // Each variable-named rule's guards, as the body of a rule the grounder's
+  // match path can join; the guards must bind every name variable.
+  std::vector<Rule> joins;
+  for (size_t r : variable_named) {
+    const Rule& rule = program.rules[r];
+    Rule join;
+    join.head = rule.head;
+    std::vector<TermId> bound, name_vars;
+    CollectNameVariables(store, rule.head, &name_vars);
+    for (const Literal& lit : rule.body) {
+      if (lit.atom == kNoTerm) continue;
+      CollectNameVariables(store, lit.atom, &name_vars);
+      if (!lit.positive()) continue;
+      auto it = is_guard.find(store.PredName(lit.atom));
+      if (it == is_guard.end() || !it->second) continue;
+      join.body.push_back(lit);
+      store.CollectVariables(lit.atom, &bound);
+    }
+    for (TermId v : name_vars) {
+      if (std::find(bound.begin(), bound.end(), v) == bound.end()) return out;
+    }
+    joins.push_back(std::move(join));
+  }
+
+  out.instantiated = true;
+  size_t next = 0;
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    const Rule& rule = program.rules[r];
+    if (next == variable_named.size() || variable_named[next] != r) {
+      out.program.rules.push_back(rule);
+      out.identity.push_back(program.serial(r));
+      continue;
+    }
+    const Rule& join = joins[next++];
+    ForEachPositiveMatch(
+        store, join, guard_facts,
+        [&](const Substitution& theta) {
+          uint64_t id = Mix(kSigSeed, program.serial(r));
+          for (const Literal& guard : join.body) {
+            id = Mix(id, theta.Apply(store, guard.atom));
+          }
+          out.program.rules.push_back(SubstituteRule(store, rule, theta));
+          out.identity.push_back(id);
+          return true;
+        },
+        /*frozen_facts=*/true, kernel_cache);
+  }
+  return out;
 }
 
 std::vector<uint32_t> CondensationDepths(const ProgramCondensation& cond) {
@@ -579,10 +682,25 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
     }
   }
 
-  ProgramCondensation cond = CondenseProgram(store, program);
+  // HiLog name variables bound by fact-only guards are instantiated first,
+  // so Example 6.3-style programs condense per name; everything below
+  // plans over `planned`. Rule identities are serials, mixed with the
+  // matched guard atoms for instances.
+  GuardedProgram guarded =
+      InstantiateGuardedNames(store, program, options.kernel_cache);
+  // Instances are one rule per guard match. Compiling them into the
+  // caller's (the engine's) kernel cache would make every Engine::Fork
+  // clone one program per game; a per-solve cache compiles only the
+  // components that actually re-solve.
+  if (guarded.instantiated) options.kernel_cache = &local_kernel_cache;
+  const Program& planned = guarded.instantiated ? guarded.program : program;
+  auto identity = [&](size_t r) {
+    return guarded.instantiated ? guarded.identity[r] : program.serial(r);
+  };
+  ProgramCondensation cond = CondenseProgram(store, planned);
 
   // Component plans in dependency order, with cache signatures. A plan's
-  // own signature covers its member names and its rule *serials*
+  // own signature covers its member names and its rule identities
   // (Program::serial — stable across both append and in-place retraction,
   // where plain indices would shift). What the component reads from below
   // is covered separately by `lower_signature`, computed at wave time
@@ -610,7 +728,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       std::unordered_set<TermId> name_seen;
       plan.fact_only = !plan.rules.empty();
       for (size_t r : plan.rules) {
-        const Rule& rule = program.rules[r];
+        const Rule& rule = planned.rules[r];
         if (!rule.IsFact() || !store.IsGround(rule.head)) {
           plan.fact_only = false;
         }
@@ -627,7 +745,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       uint64_t h = kSigSeed;
       for (TermId name : sorted_names) h = Mix(h, name);
       h = Mix(h, 0xFFFFFFFFull);
-      for (size_t r : plan.rules) h = Mix(h, program.serial(r));
+      for (size_t r : plan.rules) h = Mix(h, identity(r));
       plan.signature = h;
       if (!plan.rules.empty()) {
         plan.cache_key = *std::min_element(plan.member_names.begin(),
@@ -636,7 +754,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
     }
   } else {
     plans.resize(1);
-    for (size_t r = 0; r < program.rules.size(); ++r) {
+    for (size_t r = 0; r < planned.rules.size(); ++r) {
       plans[0].rules.push_back(r);
     }
     depth.assign(1, 0);
@@ -666,10 +784,10 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
   // them (its component published at a strictly smaller depth), so
   // hydration never sees a partially published name.
   //
-  // `published` points either into a replayed cache entry (stable: the
-  // map is node-based and a replayed entry is never overwritten within
-  // this solve) or into `fresh_publishes`, the per-solve arena for
-  // components solved now (deque: pointers survive growth).
+  // `published` points either into a replayed cache entry (stable: entries
+  // are immutable and a replayed entry is never replaced within this
+  // solve) or into `fresh_publishes`, the per-solve arena for components
+  // solved now (deque: pointers survive growth).
   FactBase support_true;  // True atoms of settled components (hydrated).
   FactBase support_all;   // True-or-undefined atoms (hydrated).
   using NamePublish = ComponentCacheEntry::NamePublish;
@@ -741,9 +859,9 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         plan.lower_signature = lower_signature_of(plan);
         auto it = cache->components.find(plan.cache_key);
         if (it != cache->components.end() &&
-            it->second.signature == plan.signature &&
-            it->second.lower_signature == plan.lower_signature) {
-          replay[i] = &it->second;
+            it->second->signature == plan.signature &&
+            it->second->lower_signature == plan.lower_signature) {
+          replay[i] = it->second.get();
           continue;
         }
       }
@@ -777,7 +895,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       // Sequential: the wave is (at most) one batch solved in place on
       // the caller's store — same-depth batching with zero clone cost.
       for (size_t b = 0; b < nbatches; ++b) {
-        SolveBatch(store, program, options, cond.exact, batch_plans[b],
+        SolveBatch(store, planned, options, cond.exact, batch_plans[b],
                    support_true, support_all, &batches[b]);
       }
     } else {
@@ -796,7 +914,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         obs::ScopedObsContext obs_ctx(&batches[b].metrics,
                                       batches[b].trace.get());
         ScopedCancelToken cancel_ctx(token);
-        SolveBatch(*batches[b].clone, program, options, cond.exact,
+        SolveBatch(*batches[b].clone, planned, options, cond.exact,
                    batch_plans[b], support_true, support_all, &batches[b]);
       });
       // Fold the worker-local sinks into the caller's, in batch order
@@ -956,8 +1074,9 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       }
       if (cond.exact && cache != nullptr && plan.cache_key != kNoTerm) {
         entry.ground_rules = std::move(pc.ground);
-        auto [slot, inserted] = cache->components.try_emplace(plan.cache_key);
-        if (!inserted) {
+        std::shared_ptr<const ComponentCacheEntry>& slot =
+            cache->components[plan.cache_key];
+        if (slot != nullptr) {
           // DRed accounting: re-solving a dirty cached component
           // conceptually overdeletes everything it had published;
           // whatever the re-solve produces again was rederived.
@@ -967,7 +1086,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
                        entry.undefined_atoms.end());
           size_t over = 0, reder = 0;
           for (const std::vector<TermId>* old :
-               {&slot->second.true_atoms, &slot->second.undefined_atoms}) {
+               {&slot->true_atoms, &slot->undefined_atoms}) {
             for (TermId a : *old) {
               if (fresh.count(a) > 0) {
                 ++reder;
@@ -981,7 +1100,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
           result.stats.overdeleted += over;
           result.stats.rederived += reder;
         }
-        slot->second = std::move(entry);
+        slot = std::make_shared<const ComponentCacheEntry>(std::move(entry));
       }
     }
   }
@@ -1003,7 +1122,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         continue;
       }
       size_t gone =
-          it->second.true_atoms.size() + it->second.undefined_atoms.size();
+          it->second->true_atoms.size() + it->second->undefined_atoms.size();
       if (gone > 0) {
         obs::Count(obs::Counter::kIncOverdeleted, gone);
         result.stats.overdeleted += gone;

@@ -2,6 +2,7 @@
 #define HILOG_EVAL_SCHEDULER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,12 +33,44 @@ struct ProgramCondensation {
   /// variable names (winning(M)) make the name-level graph an
   /// under-approximation of the real call structure, so a non-exact
   /// condensation must not be used to split evaluation; the scheduler
-  /// falls back to a single monolithic component in that case.
+  /// condenses its guard-instantiated plan instead (GuardedProgram) and
+  /// falls back to a single monolithic component when that is impossible.
   bool exact = true;
 };
 
 ProgramCondensation CondenseProgram(const TermStore& store,
                                     const Program& program);
+
+/// The rules the scheduler plans over when predicate-name variables can be
+/// instantiated from *fact-only guards* — the part of the HiLog reduction
+/// (Definition 6.5) that needs no evaluation, since a fact-only relation is
+/// settled before anything runs.
+///
+/// A guard is a positive body literal with a ground predicate name N such
+/// that every rule with head name N is a ground fact and no rule head with
+/// a non-ground name matches N. A rule with a variable in some predicate
+/// name (head or body) is replaced by one instance per match of its guards
+/// against the deduplicated guard facts, provided its guards bind every
+/// name variable. Guard literals stay in each instance, so the relevance
+/// grounding of the instances equals that of the rule. Example 6.3's
+/// `winning(M)(X) :- game(M), M(X,Y), ~winning(M)(Y)` becomes one
+/// ground-named rule per game, and the condensation turns exact.
+struct GuardedProgram {
+  /// True when some rule was instantiated. False when every predicate name
+  /// was already ground, or when some rule keeps a name variable no guard
+  /// binds (the program then stays one monolithic component).
+  bool instantiated = false;
+  /// When instantiated: ground-named rules in program order, each
+  /// instantiated rule's instances at its position in match order.
+  Program program;
+  /// Parallel to `program.rules`: the cache identity of each rule — its
+  /// source serial, mixed with the matched guard atoms for an instance.
+  std::vector<uint64_t> identity;
+};
+
+GuardedProgram InstantiateGuardedNames(TermStore& store,
+                                       const Program& program,
+                                       KernelCache* kernel_cache = nullptr);
 
 /// Topological depth of every component of a condensation: a component
 /// with no references to other components has depth 0; otherwise its
@@ -145,8 +178,13 @@ struct ComponentCacheEntry {
 /// removes rules but never renumbers surviving serials or reuses TermIds).
 /// Engine::Load clears it; a successful exact solve prunes entries whose
 /// component no longer exists, counting their atoms as overdeleted.
+///
+/// Entries are immutable once published: a re-solve installs a fresh entry
+/// instead of editing the old one. That is what lets Engine::Fork copy the
+/// map of pointers and share the entries with the engine it forked from.
 struct SchedulerCache {
-  std::unordered_map<TermId, ComponentCacheEntry> components;
+  std::unordered_map<TermId, std::shared_ptr<const ComponentCacheEntry>>
+      components;
   void Clear() { components.clear(); }
   size_t size() const { return components.size(); }
 };
@@ -185,12 +223,15 @@ struct ComponentWfsResult {
 /// dependency graph, then for each component (in dependency order) grounds
 /// its rules against an envelope seeded only with the true-or-undefined
 /// atoms of referenced lower components — the restricted active domain —
-/// and settles it with ComputeWfsScc after resolving lower literals. When
-/// the condensation is not exact (HiLog variable predicate names) the
-/// whole program is one component and this degenerates to relevance
-/// grounding plus atom-level scheduling. With a cache, components whose
-/// signature is unchanged since a previous call are replayed from the
-/// cache without grounding or fixpoint work.
+/// and settles it with ComputeWfsScc after resolving lower literals. HiLog
+/// variable predicate names are first instantiated from fact-only guards
+/// (InstantiateGuardedNames), which makes programs like Example 6.3
+/// condense exactly, one component per name. When some name variable has
+/// no guard the condensation is not exact: the whole program is one
+/// uncached component and this degenerates to relevance grounding plus
+/// atom-level scheduling. With a cache, components whose signature is
+/// unchanged since a previous call are replayed from the cache without
+/// grounding or fixpoint work.
 ///
 /// Components at the same topological depth (CondensationDepths) are
 /// solved as one *wave*: they are batched together — one grounding call

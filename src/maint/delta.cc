@@ -61,11 +61,11 @@ std::string ApplyRetractions(const TermStore& store, Program* program,
   return "";
 }
 
-std::vector<std::string> SplitStatements(std::string_view text) {
+std::vector<std::string_view> SplitStatements(std::string_view text) {
   // Mirrors the lexer's surface rules: '...' quotes have no escapes, '%'
   // comments run to end of line, and '.' is always the statement
   // terminator outside quotes and comments.
-  std::vector<std::string> statements;
+  std::vector<std::string_view> statements;
   size_t start = 0;
   bool in_quote = false;
   bool in_comment = false;

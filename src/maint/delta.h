@@ -44,8 +44,9 @@ std::string ApplyRetractions(const TermStore& store, Program* program,
 /// corresponds to rule i of the resulting program — which is what lets
 /// the service compose a post-delta program text by dropping the removed
 /// statements (see ComposeDeltaText in src/maint/maintain.h). Trailing
-/// whitespace/comments after the last '.' are dropped.
-std::vector<std::string> SplitStatements(std::string_view text);
+/// whitespace/comments after the last '.' are dropped. The statements are
+/// views into `text`.
+std::vector<std::string_view> SplitStatements(std::string_view text);
 
 }  // namespace hilog
 

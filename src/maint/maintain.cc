@@ -9,7 +9,7 @@ namespace hilog {
 std::string ComposeDeltaText(std::string_view old_text,
                              const std::vector<size_t>& removed_indices,
                              std::string_view additions) {
-  std::vector<std::string> statements = SplitStatements(old_text);
+  std::vector<std::string_view> statements = SplitStatements(old_text);
   std::unordered_set<size_t> removed(removed_indices.begin(),
                                      removed_indices.end());
   std::string out;

@@ -13,6 +13,7 @@ namespace hilog {
 TermStore::TermStore() {
   nodes_.reserve(1024);
   args_pool_.reserve(4096);
+  apply_slots_.assign(1024, kNoTerm);
 }
 
 void TermStore::CopyFrom(const TermStore& other) {
@@ -21,7 +22,8 @@ void TermStore::CopyFrom(const TermStore& other) {
   args_pool_ = other.args_pool_;
   symbol_index_ = other.symbol_index_;
   variable_index_ = other.variable_index_;
-  apply_index_ = other.apply_index_;
+  apply_slots_ = other.apply_slots_;
+  apply_count_ = other.apply_count_;
   fresh_counter_ = other.fresh_counter_;
 }
 
@@ -101,7 +103,30 @@ uint64_t TermStore::HashApply(TermId name, std::span<const TermId> args) const {
   mix(name);
   mix(args.size());
   for (TermId a : args) mix(a);
+  // Finalize (murmur3 fmix64): the index takes its slot from the low
+  // bits, which the combine step above leaves poorly mixed.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
   return h;
+}
+
+void TermStore::GrowApplyIndex() {
+  std::vector<TermId> slots(apply_slots_.size() * 2, kNoTerm);
+  const size_t mask = slots.size() - 1;
+  for (TermId id : apply_slots_) {
+    if (id == kNoTerm) continue;
+    const Node& node = nodes_[id];
+    const uint64_t h = HashApply(
+        node.name, std::span<const TermId>(args_pool_.data() + node.args_begin,
+                                           node.args_len));
+    size_t i = h & mask;
+    while (slots[i] != kNoTerm) i = (i + 1) & mask;
+    slots[i] = id;
+  }
+  apply_slots_ = std::move(slots);
 }
 
 bool TermStore::ApplyEquals(TermId t, TermId name,
@@ -116,12 +141,13 @@ bool TermStore::ApplyEquals(TermId t, TermId name,
 }
 
 TermId TermStore::MakeApply(TermId name, std::span<const TermId> args) {
-  uint64_t h = HashApply(name, args);
-  auto [lo, hi] = apply_index_.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (ApplyEquals(it->second, name, args)) {
+  const uint64_t h = HashApply(name, args);
+  size_t mask = apply_slots_.size() - 1;
+  size_t slot = h & mask;
+  for (; apply_slots_[slot] != kNoTerm; slot = (slot + 1) & mask) {
+    if (ApplyEquals(apply_slots_[slot], name, args)) {
       obs::Count(obs::Counter::kTermInternHits);
-      return it->second;
+      return apply_slots_[slot];
     }
   }
   obs::Count(obs::Counter::kTermsInterned);
@@ -141,7 +167,14 @@ TermId TermStore::MakeApply(TermId name, std::span<const TermId> args) {
   node.depth = depth + 1;
   args_pool_.insert(args_pool_.end(), args.begin(), args.end());
   nodes_.push_back(node);
-  apply_index_.emplace(h, id);
+  if (2 * (apply_count_ + 1) > apply_slots_.size()) {
+    GrowApplyIndex();
+    mask = apply_slots_.size() - 1;
+    slot = h & mask;
+    while (apply_slots_[slot] != kNoTerm) slot = (slot + 1) & mask;
+  }
+  apply_slots_[slot] = id;
+  ++apply_count_;
   return id;
 }
 

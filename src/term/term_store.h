@@ -143,13 +143,20 @@ class TermStore {
 
   uint64_t HashApply(TermId name, std::span<const TermId> args) const;
   bool ApplyEquals(TermId t, TermId name, std::span<const TermId> args) const;
+  void GrowApplyIndex();
 
   std::vector<Node> nodes_;
   std::vector<std::string> strings_;
   std::vector<TermId> args_pool_;
   std::unordered_map<std::string, TermId> symbol_index_;
   std::unordered_map<std::string, TermId> variable_index_;
-  std::unordered_multimap<uint64_t, TermId> apply_index_;
+  // Interned applications, open-addressed: a power-of-two table of term
+  // ids (kNoTerm = empty) kept at most half full, probed linearly. Being
+  // flat, it copies in one block — CopyFrom backs every Engine::Fork and
+  // parallel batch clone, and a node-based index made that one allocation
+  // per interned term — and costs 8-16 bytes per term.
+  std::vector<TermId> apply_slots_;
+  size_t apply_count_ = 0;
   uint64_t fresh_counter_ = 0;
 };
 

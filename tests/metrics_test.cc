@@ -395,6 +395,59 @@ TEST(EngineMetricsTest, IncrementalCountersExactOnTcDelta) {
   EXPECT_EQ(m.value(obs::Counter::kIncRederived), 152u);
 }
 
+// Satellite: component counts on the Example 6.3 game. The guard game(M)
+// instantiates the generic rule once per game, so the scheduler plans
+// five per-name components: game, mv1, mv2, winning(mv1), winning(mv2).
+// A move delta re-solves its move relation and that game's winning
+// component and replays the other three. Retracting game(mv1) re-solves
+// game and winning(mv2) (every winning component reads game), replays
+// the move relations, and leaves winning(mv1) without rules.
+TEST(EngineMetricsTest, ComponentCountersExactOnHiLogGameDeltas) {
+  Engine engine;
+  ASSERT_EQ(engine.Load("winning(M)(X) :- game(M), M(X,Y), ~winning(M)(Y).\n"
+                        "game(mv1).\ngame(mv2).\n"
+                        "mv1(a,b).\nmv1(b,c).\nmv1(a,c).\n"
+                        "mv2(x,y).\nmv2(y,z).\n"),
+            "");
+  ASSERT_TRUE(engine.SolveWellFounded().ok);
+  EXPECT_EQ(engine.metrics().value(obs::Counter::kSchedComponents), 5u);
+  EXPECT_EQ(engine.metrics().value(obs::Counter::kSchedComponentsReused), 0u);
+
+  struct Step {
+    const char* add;
+    const char* retract;
+    uint64_t resolved;
+    uint64_t skipped;
+  };
+  const Step steps[] = {
+      {"", "mv1(a,c).", 2, 3},
+      {"mv1(a,c).", "", 2, 3},
+      {"", "game(mv1).", 2, 2},
+  };
+  for (const Step& step : steps) {
+    engine.metrics().Reset();
+    ASSERT_EQ(engine.ApplyDelta(step.add, step.retract, nullptr), "");
+    Engine::WfsAnswer answer = engine.SolveWellFounded();
+    ASSERT_TRUE(answer.ok) << answer.notes;
+    const obs::MetricsRegistry& m = engine.metrics();
+    EXPECT_EQ(m.value(obs::Counter::kSchedComponents), step.resolved)
+        << step.add << step.retract;
+    EXPECT_EQ(m.value(obs::Counter::kSchedComponentsReused), step.skipped)
+        << step.add << step.retract;
+    EXPECT_EQ(m.value(obs::Counter::kIncComponentsResolved), step.resolved)
+        << step.add << step.retract;
+    EXPECT_EQ(m.value(obs::Counter::kIncComponentsSkipped), step.skipped)
+        << step.add << step.retract;
+  }
+  // Without game(mv1) no winning(mv1) atom survives.
+  Engine::WfsAnswer last = engine.SolveWellFounded();
+  for (TermId atom : last.model.TrueAtoms()) {
+    EXPECT_EQ(engine.store().ToString(atom).find("winning(mv1)"),
+              std::string::npos);
+  }
+  EXPECT_EQ(engine.scheduler_cache().size(), 4u);
+}
+
 // A layered program with `width` mutually independent chains: every
 // chain contributes one component per layer, so each topological depth
 // is a wave of `width` components — the shape the parallel scheduler

@@ -132,6 +132,47 @@ TEST_F(ModularEdgeTest, TwoIndependentNegationTowers) {
   EXPECT_TRUE(result.model.IsTrue(T("a2(2)")));   // c2(2) false.
 }
 
+TEST_F(ModularEdgeTest, SharedWinChainsRejectedAtTheLoopedComponent) {
+  // 64 ground win chains of 128 positions over one w/m pair, every other
+  // chain ending in a self-loop (bench_modular's BM_Figure1_SharedWinChains).
+  // Round 1 settles m; reducing the w rules against it resolves each ground
+  // m literal by lookup, and round 2 finds w(c) :- ~w(c) in the looped
+  // chains.
+  std::string text;
+  for (int c = 0; c < 64; ++c) {
+    auto at = [&](int i) {
+      return "c" + std::to_string(c) + "_" + std::to_string(i);
+    };
+    const int last = c % 2 == 1 ? 128 : 127;
+    for (int i = 0; i <= last; ++i) {
+      const int to = i < 128 ? i + 1 : 128;
+      std::string move = "m(" + at(i) + "," + at(to) + ")";
+      text += "w(" + at(i) + ") :- " + move + ", ~w(" + at(to) + ").\n";
+      text += move + ".\n";
+    }
+  }
+  Program p = P(text);
+  ModularResult result = CheckModularHiLog(store_, p, ModularOptions());
+  EXPECT_FALSE(result.modularly_stratified);
+  EXPECT_EQ(result.reason, "reduced component is not locally stratified");
+  EXPECT_EQ(result.rounds, 2u);
+  ASSERT_EQ(result.settled_per_round.size(), 1u);
+  EXPECT_EQ(result.settled_per_round[0], std::vector<TermId>{T("m")});
+}
+
+TEST_F(ModularEdgeTest, ReductionResolvesGroundSettledLiteralsByLookup) {
+  // A ground positive literal on a settled name is true or false outright:
+  // true drops the literal, false deletes the rule.
+  Program p = P("a :- e(1,2), ~b. c :- e(2,3). d(X) :- e(X,2).");
+  SettledModel settled;
+  settled.SettleName(T("e"));
+  settled.AddTrue(store_, T("e(1,2)"));
+  ReductionResult reduced = HiLogReduce(store_, p.rules, settled, 1000);
+  ASSERT_EQ(reduced.rules.size(), 2u);
+  EXPECT_EQ(RuleToString(store_, reduced.rules[0]), "a :- ~b.");
+  EXPECT_EQ(RuleToString(store_, reduced.rules[1]), "d(1).");
+}
+
 TEST_F(ModularEdgeTest, SettledModelLookups) {
   SettledModel settled;
   EXPECT_FALSE(settled.IsSettledName(T("p")));

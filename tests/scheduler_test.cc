@@ -3,6 +3,9 @@
 //    on random ground programs;
 //  - component-at-a-time evaluation equals monolithic relevance
 //    grounding + alternating WFS on random normal and HiLog programs;
+//  - HiLog name variables bound by fact-only guards instantiate into an
+//    exact per-name plan with the monolithic grounding and model, and
+//    unguarded names fall back to one component;
 //  - the condensation splits independent predicates into components and
 //    settles acyclic atoms without Gamma applications;
 //  - the engine's component cache is reused across LoadMore, and the
@@ -100,30 +103,6 @@ TEST_P(SchedulerPropertyTest, ComponentEvaluationEqualsMonolithic) {
   ExpectSameModel(store, scheduled.model, monolithic.model, text);
 }
 
-TEST_P(SchedulerPropertyTest, HiLogGamesCollapseButStayCorrect) {
-  // Parameterized win rules have variables in predicate names: the
-  // predicate condensation is inexact and collapses to one group, so
-  // correctness rests entirely on the atom-level SCC pass.
-  TermStore store;
-  std::string text = testing::RandomGameProgram(GetParam());
-  ParseResult<Program> parsed = ParseProgram(store, text);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-
-  ProgramCondensation cond = CondenseProgram(store, *parsed);
-  EXPECT_FALSE(cond.exact) << text;
-
-  BottomUpOptions options;
-  ComponentWfsResult scheduled =
-      SolveWfsByComponents(store, *parsed, options);
-  ASSERT_TRUE(scheduled.ok) << scheduled.error;
-
-  RelevanceGroundingResult grounded =
-      GroundWithRelevance(store, *parsed, options);
-  ASSERT_TRUE(grounded.ok) << grounded.error;
-  WfsResult monolithic = ComputeWfsAlternating(grounded.program);
-  ExpectSameModel(store, scheduled.model, monolithic.model, text);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPropertyTest,
                          ::testing::Range(1u, 41u));
 
@@ -157,6 +136,110 @@ std::vector<std::string> GroundRuleStrings(const TermStore& store,
     out.push_back(std::move(text));
   }
   return out;
+}
+
+// Solves `text` with the scheduler and checks it against monolithic
+// relevance grounding + the alternating fixpoint: the same ground
+// instances (as a multiset) and the same model. Returns the scheduler's
+// component count and whether guard instantiation applied.
+struct GuardedSolve {
+  bool instantiated = false;
+  size_t components = 0;
+};
+
+GuardedSolve ExpectScheduledMatchesMonolithic(const std::string& text) {
+  TermStore store;
+  ParseResult<Program> parsed = ParseProgram(store, text);
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  GuardedSolve out;
+  if (!parsed.ok()) return out;
+
+  GuardedProgram plan = InstantiateGuardedNames(store, *parsed);
+  out.instantiated = plan.instantiated;
+  if (plan.instantiated) {
+    EXPECT_TRUE(CondenseProgram(store, plan.program).exact) << text;
+    EXPECT_EQ(plan.identity.size(), plan.program.size()) << text;
+  }
+
+  BottomUpOptions options;
+  ComponentWfsResult scheduled = SolveWfsByComponents(store, *parsed, options);
+  EXPECT_TRUE(scheduled.ok) << scheduled.error;
+  EXPECT_FALSE(scheduled.truncated) << text;
+  out.components = scheduled.stats.components;
+
+  RelevanceGroundingResult grounded =
+      GroundWithRelevance(store, *parsed, options);
+  EXPECT_TRUE(grounded.ok) << grounded.error;
+  std::vector<std::string> a = GroundRuleStrings(store, scheduled.ground);
+  std::vector<std::string> b = GroundRuleStrings(store, grounded.program);
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  EXPECT_EQ(a, b) << text;
+  WfsResult monolithic = ComputeWfsAlternating(grounded.program);
+  ExpectSameModel(store, scheduled.model, monolithic.model, text);
+  return out;
+}
+
+// Parameterized win rules have variables in predicate names, but `game`
+// is a fact-only guard binding M: the plan instantiates one rule per game,
+// condenses exactly (game, each move relation, each winning(mvG)), and
+// must still reproduce the monolithic grounding and model — on acyclic
+// games and on games whose back edge makes positions undefined.
+class GuardInstantiationPropertyTest
+    : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(GuardInstantiationPropertyTest, GamePlanIsExactAndMonolithic) {
+  for (bool cyclic : {false, true}) {
+    const std::string text = testing::RandomGameProgram(GetParam(), cyclic);
+    GuardedSolve solve = ExpectScheduledMatchesMonolithic(text);
+    EXPECT_TRUE(solve.instantiated) << text;
+    // game, then one move relation and one winning name per game.
+    const size_t games = text.find("game(mv1)") == std::string::npos ? 1 : 2;
+    EXPECT_EQ(solve.components, 1 + 2 * games) << text;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GuardInstantiationPropertyTest,
+                         ::testing::Range(1u, 41u));
+
+TEST(GuardInstantiationTest, HiLogProgramsMatchMonolithic) {
+  const std::vector<std::string> programs = {
+      // Example 2.1's generic closure, guarded by graph/1.
+      "tc(G)(X,Y) :- graph(G), G(X,Y).\n"
+      "tc(G)(X,Y) :- graph(G), G(X,Z), tc(G)(Z,Y).\n"
+      "graph(e). graph(f). e(a,b). e(b,c). f(c,a). f(a,c).\n",
+      // Two guards bind the two name variables; one guard fact repeats.
+      "pair(M,N)(X) :- left(M), right(N), M(X), ~N(X).\n"
+      "left(p). left(q). left(p). right(q). p(a). p(b). q(b).\n",
+      // A guard binding the name variable of a negated call only.
+      "blocked(X) :- lock(L), item(X), ~L(X).\n"
+      "lock(held). item(a). item(b). held(a).\n",
+      // A guard relation with no facts at all: the rule never fires.
+      "w(M)(X) :- none(M), M(X,Y), ~w(M)(Y). mv(a,b).\n",
+      // The guard sits in a ground-named rule's body.
+      "out(X) :- sel(R), R(X). sel(data). data(1). data(2).\n"};
+  for (const std::string& text : programs) {
+    GuardedSolve solve = ExpectScheduledMatchesMonolithic(text);
+    EXPECT_TRUE(solve.instantiated) << text;
+  }
+}
+
+// Programs the guard rule must leave monolithic: one component, same
+// grounding and model as the monolithic path.
+TEST(GuardInstantiationTest, UnguardedNamesFallBackToOneComponent) {
+  const std::vector<std::string> programs = {
+      // A rule derives the would-be guard relation.
+      "winning(M)(X) :- game(M), M(X,Y), ~winning(M)(Y).\n"
+      "game(mv0). game(mv1) :- p. p. mv0(a,b). mv1(b,c).\n",
+      // A bare-variable head name matches every name, so q is no guard.
+      "M(X) :- q(M,X). q(p,a). q(r,b). s(X) :- p(X), ~r(X).\n",
+      // sel binds N, but nothing fact-only binds M.
+      "two(M,X) :- sel(N), M(X), N(X). sel(p). p(a). q(a). q(b).\n"};
+  for (const std::string& text : programs) {
+    GuardedSolve solve = ExpectScheduledMatchesMonolithic(text);
+    EXPECT_FALSE(solve.instantiated) << text;
+    EXPECT_EQ(solve.components, 1u) << text;
+  }
 }
 
 // The tentpole's core contract: solving on N worker threads is
