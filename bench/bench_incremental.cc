@@ -162,6 +162,19 @@ void BM_Incremental_ReachMaintain(benchmark::State& state) {
 BENCHMARK(BM_Incremental_ReachMaintain)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// The publish shape: Example 6.3's game at 256 games x 64 positions with
+// one move fact toggled per cycle. A move relation is fact-only and named
+// first by its game's instance rule, so the maintained arm patches the
+// scheduler plan instead of re-planning the 16k-rule program, and
+// re-solves 2 of 513 components.
+void BM_Incremental_GameMove(benchmark::State& state) {
+  static const std::string* base =
+      new std::string(bench::HiLogGameProgram(256, 64));
+  RunDeltaCycles(state, *base, "mv7(n3,n4).", "mv7(n3,n4).");
+}
+BENCHMARK(BM_Incremental_GameMove)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace hilog
 

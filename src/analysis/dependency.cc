@@ -108,9 +108,11 @@ std::vector<uint32_t> DependencyGraph::SinkComponents(
 }
 
 DependencyGraph PredicateDependencyGraph(const TermStore& store,
-                                         const Program& program) {
+                                         const Program& program,
+                                         std::vector<size_t>* introduced_by) {
   DependencyGraph graph;
-  for (const Rule& rule : program.rules) {
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    const Rule& rule = program.rules[r];
     TermId head_name = store.PredName(rule.head);
     graph.AddNode(head_name);
     for (const Literal& lit : rule.body) {
@@ -122,6 +124,7 @@ DependencyGraph PredicateDependencyGraph(const TermStore& store,
       bool negative = lit.negative() || lit.kind == Literal::Kind::kAggregate;
       graph.AddEdge(head_name, body_name, negative);
     }
+    if (introduced_by != nullptr) introduced_by->resize(graph.num_nodes(), r);
   }
   return graph;
 }

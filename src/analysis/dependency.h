@@ -62,9 +62,12 @@ class DependencyGraph {
 /// heads and body atoms; an edge head -> body-name for every rule, labeled
 /// negative for negative literals. Non-ground names are included as-is
 /// (callers that need Figure 1's "names appearing ground" filter do so
-/// themselves).
-DependencyGraph PredicateDependencyGraph(const TermStore& store,
-                                         const Program& program);
+/// themselves). Nodes are numbered in order of first mention; when
+/// `introduced_by` is non-null it receives, per node, the index of the rule
+/// that first mentions the name.
+DependencyGraph PredicateDependencyGraph(
+    const TermStore& store, const Program& program,
+    std::vector<size_t>* introduced_by = nullptr);
 
 /// Ground atom dependency graph of a ground program: nodes are atoms;
 /// edge head -> body-atom per rule instance, negative for negated

@@ -167,6 +167,9 @@ bool IsRangeRestricted(const TermStore& store, const Program& program) {
 }
 
 bool IsStronglyRangeRestrictedRule(const TermStore& store, const Rule& rule) {
+  // A ground fact has no variables to bind; skipping the set building
+  // below matters because fact rules dominate large EDB programs.
+  if (rule.IsFact() && store.IsGround(rule.head)) return true;
   VarSet provided = AllProvidedVars(store, rule);
 
   // Condition 1: *all* head variables (argument and name position) bound

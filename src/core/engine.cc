@@ -26,7 +26,8 @@ std::unique_ptr<Engine> Engine::Fork() const {
   fork->edb_names_cache_ = edb_names_cache_;
   fork->edb_facts_base_ = edb_facts_base_;
   fork->edb_cache_valid_ = edb_cache_valid_;
-  // Copies pointers only: settled entries are immutable and shared.
+  // Copies pointers only: settled entries and the plan are immutable and
+  // shared.
   fork->scheduler_cache_ = scheduler_cache_;
   // CopyFrom preserves TermIds, so the compiled programs' atom and
   // variable ids mean the same terms in the fork.
@@ -61,7 +62,9 @@ std::string Engine::AppendProgram(std::string_view text, bool prewarm) {
   edb_cache_valid_ = false;
   ParseResult<Program> parsed = ParseProgram(store_, text);
   if (!parsed.ok()) return parsed.error;
+  const size_t added_from = program_.size();
   for (Rule& rule : (*parsed).rules) program_.Add(std::move(rule));
+  PatchSchedulerPlan({}, added_from);
   if (prewarm && RuleCompilationEnabled()) {
     kernel_cache_.Prewarm(store_, program_);
   }
@@ -124,7 +127,9 @@ std::string Engine::ApplyDelta(std::string_view additions,
     if (!safe) edb_cache_valid_ = false;
   }
 
+  const size_t added_from = program_.size();
   for (Rule& rule : delta.additions.rules) program_.Add(std::move(rule));
+  PatchSchedulerPlan(delta.retractions, added_from);
   // Only rules the delta introduced get front-end analysis here; the
   // structural cache already covers every survivor.
   if (RuleCompilationEnabled()) kernel_cache_.Prewarm(store_, program_);
@@ -133,6 +138,14 @@ std::string Engine::ApplyDelta(std::string_view additions,
   obs::SetGauge(obs::Gauge::kProgramRules, program_.size());
   obs::SetGauge(obs::Gauge::kTermStoreSize, store_.size());
   return "";
+}
+
+void Engine::PatchSchedulerPlan(const std::vector<TermId>& retracted,
+                                size_t added_from) {
+  if (scheduler_cache_.plan == nullptr) return;
+  scheduler_cache_.plan =
+      hilog::PatchSchedulerPlan(store_, *scheduler_cache_.plan, retracted,
+                                program_, added_from);
 }
 
 std::string Engine::Retract(std::string_view facts) {

@@ -92,12 +92,13 @@ class Engine {
   /// Copies this engine into a fresh one: same options, a CopyFrom clone
   /// of the term store (every TermId means the same term in both), the
   /// loaded program, the EDB caches, and — the point — the settled-
-  /// component scheduler cache, so the fork's first well-founded solve
-  /// replays unchanged components instead of recomputing them. The cache's
-  /// entries are immutable and shared, not copied. Metrics and trace start
-  /// fresh. `this` is read-only during the call; the fork shares no
-  /// mutable state with it afterwards (the snapshot store forks a
-  /// published prototype to seed the next epoch's snapshot).
+  /// component scheduler cache and plan, so the fork's first well-founded
+  /// solve replays unchanged components instead of recomputing them. The
+  /// cache's entries and plan are immutable and shared, not copied.
+  /// Metrics and trace start fresh. `this` is read-only during the call;
+  /// the fork shares no mutable state with it afterwards (the snapshot
+  /// store forks a published prototype to seed the next epoch's
+  /// snapshot).
   std::unique_ptr<Engine> Fork() const;
 
   /// Parses and loads program text. Returns an empty string on success,
@@ -207,9 +208,9 @@ class Engine {
   /// Empirical Definition 5.1 check over the configured universe bound.
   DomainIndependenceResult CheckDomainIndependence(size_t extra_symbols = 2);
 
-  /// The scheduler's component cache: settled predicate components kept
-  /// across solves and LoadMore (cleared by Load). Exposed for tests and
-  /// service diagnostics.
+  /// The scheduler's component cache: settled predicate components and the
+  /// plan, kept across solves, LoadMore and ApplyDelta (cleared by Load).
+  /// Exposed for tests and service diagnostics.
   const SchedulerCache& scheduler_cache() const { return scheduler_cache_; }
 
   /// The rule-compilation cache (src/eval/kernel.h): compiled kernel
@@ -223,6 +224,12 @@ class Engine {
   WfsAnswer SolveOnGround(const GroundProgram& ground, GrounderKind kind,
                           bool exact, std::string notes);
   std::string AppendProgram(std::string_view text, bool prewarm);
+  /// Keeps the scheduler plan in step with program_ after rules at
+  /// `added_from` and up were appended and the fact rules of `retracted`
+  /// removed: patched when the delta allows it, else dropped so the next
+  /// solve rebuilds it.
+  void PatchSchedulerPlan(const std::vector<TermId>& retracted,
+                          size_t added_from);
   void RefreshEdbCache();
   /// Sinks for ScopedObsContext honoring metrics_enabled.
   obs::MetricsRegistry* MetricsSink() {
@@ -251,9 +258,10 @@ class Engine {
   // solve: that solve is a maintenance pass and reports the
   // inc.components_resolved / inc.components_skipped counters.
   bool maintenance_pending_ = false;
-  // Settled-component memo for the SCC scheduler. Safe across LoadMore
-  // and ApplyDelta (TermIds and rule serials of loaded text are stable);
-  // Load replaces the program, so it clears the cache.
+  // Settled-component memo and plan for the SCC scheduler. The memo is
+  // safe across LoadMore and ApplyDelta (TermIds and rule serials of
+  // loaded text are stable); the plan is patched or dropped with every
+  // program change. Load replaces the program, so it clears both.
   SchedulerCache scheduler_cache_;
   // Compiled-rule memo for the kernel executor, shared by every
   // evaluation path. Keyed structurally, so it is likewise safe across

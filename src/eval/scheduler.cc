@@ -25,12 +25,51 @@ uint64_t Mix(uint64_t h, uint64_t v) {
 
 constexpr uint64_t kSigSeed = 1469598103934665603ull;
 
+// One (serial, rule) pair's share of a program fingerprint
+// (SchedulerPlan::program_fingerprint). Aggregate and builtin operands are
+// left out: the scheduler refuses such rules before it looks at a plan.
+uint64_t RuleFingerprint(uint64_t serial, const Rule& rule) {
+  uint64_t h = Mix(Mix(kSigSeed, serial), rule.head);
+  for (const Literal& lit : rule.body) {
+    h = Mix(h, static_cast<uint64_t>(lit.kind));
+    h = Mix(h, lit.atom);
+  }
+  // Final avalanche (murmur3's fmix64): summed hashes need every input bit
+  // spread over the word.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+uint64_t ProgramFingerprint(const Program& program) {
+  uint64_t h = 0;
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    h += RuleFingerprint(program.serial(r), program.rules[r]);
+  }
+  return h;
+}
+
+// A component's own signature: sorted member names, then rule identities
+// in rule order.
+uint64_t ComponentSignature(const SchedulerPlan::Component& comp) {
+  std::vector<TermId> sorted_names = comp.member_names;
+  std::sort(sorted_names.begin(), sorted_names.end());
+  uint64_t h = kSigSeed;
+  for (TermId name : sorted_names) h = Mix(h, name);
+  h = Mix(h, 0xFFFFFFFFull);
+  for (uint64_t id : comp.identities) h = Mix(h, id);
+  return h;
+}
+
 }  // namespace
 
 ProgramCondensation CondenseProgram(const TermStore& store,
                                     const Program& program) {
   ProgramCondensation cond;
-  cond.graph = PredicateDependencyGraph(store, program);
+  cond.graph = PredicateDependencyGraph(store, program, &cond.introduced_by);
   cond.component_of =
       cond.graph.StronglyConnectedComponents(&cond.num_components);
   cond.members.resize(cond.num_components);
@@ -80,7 +119,9 @@ GuardedProgram InstantiateGuardedNames(TermStore& store,
     for (const Literal& lit : program.rules[r].body) {
       if (!lit.positive()) continue;
       TermId name = store.PredName(lit.atom);
-      if (store.IsGround(name)) is_guard.emplace(name, true);
+      if (store.IsGround(name) && is_guard.emplace(name, true).second) {
+        out.guard_names.push_back(name);
+      }
     }
   }
   for (auto& [name, guard] : is_guard) {
@@ -168,6 +209,201 @@ std::vector<uint32_t> CondensationDepths(const ProgramCondensation& cond) {
     }
   }
   return depth;
+}
+
+namespace {
+
+std::shared_ptr<const SchedulerPlan> BuildPlan(TermStore& store,
+                                               const Program& program,
+                                               KernelCache* kernel_cache,
+                                               uint64_t fingerprint) {
+  auto plan = std::make_shared<SchedulerPlan>();
+  auto shape = std::make_shared<SchedulerPlan::Shape>();
+  plan->program_size = program.size();
+  plan->program_fingerprint = fingerprint;
+
+  // HiLog name variables bound by fact-only guards are instantiated first,
+  // so Example 6.3-style programs condense per name; everything below
+  // plans over `planned`. Rule identities are serials, mixed with the
+  // matched guard atoms for instances.
+  GuardedProgram guarded =
+      InstantiateGuardedNames(store, program, kernel_cache);
+  shape->instantiated = guarded.instantiated;
+  const Program& planned = guarded.instantiated ? guarded.program : program;
+  auto add_rule = [&](SchedulerPlan::Component* comp, size_t r) {
+    if (guarded.instantiated) {
+      comp->rules.push_back(std::move(guarded.program.rules[r]));
+      comp->identities.push_back(guarded.identity[r]);
+    } else {
+      comp->rules.push_back(program.rules[r]);
+      comp->identities.push_back(program.serial(r));
+    }
+  };
+  ProgramCondensation cond = CondenseProgram(store, planned);
+  shape->exact = cond.exact;
+
+  // Components in dependency order, with cache signatures. A component's
+  // own signature covers its member names and its rule identities
+  // (Program::serial — stable across both append and in-place retraction,
+  // where plain indices would shift). What the component reads from below
+  // is covered separately by a lower signature, computed at wave time
+  // from the per-name model signatures accumulated as lower components
+  // publish. A non-exact condensation (some predicate name non-ground)
+  // cannot split evaluation soundly, so the whole program becomes one
+  // monolithic component; atom-level scheduling in ComputeWfsScc still
+  // applies.
+  if (cond.exact) {
+    std::vector<uint32_t> depth = CondensationDepths(cond);
+    std::unordered_set<TermId> guards(guarded.guard_names.begin(),
+                                      guarded.guard_names.end());
+    // One allocation for all components; each plan entry aliases it, and
+    // a patch swaps in separately allocated copies.
+    auto block = std::make_shared<std::vector<SchedulerPlan::Component>>(
+        cond.num_components);
+    plan->components.reserve(cond.num_components);
+    for (uint32_t c = 0; c < cond.num_components; ++c) {
+      SchedulerPlan::Component* comp = &(*block)[c];
+      plan->components.emplace_back(block, comp);
+      comp->id = c;
+      comp->depth = depth[c];
+      for (uint32_t v : cond.members[c]) {
+        comp->member_names.push_back(cond.graph.node(v));
+      }
+      comp->rules.reserve(cond.rules_of[c].size());
+      comp->identities.reserve(cond.rules_of[c].size());
+      for (size_t r : cond.rules_of[c]) add_rule(comp, r);
+      std::unordered_set<TermId> member_names(comp->member_names.begin(),
+                                              comp->member_names.end());
+      // Lower names this component's bodies reference, in first-reference
+      // order (deterministic seeding and lower-signature mixing).
+      std::unordered_set<TermId> name_seen;
+      comp->fact_only = !comp->rules.empty();
+      for (const Rule& rule : comp->rules) {
+        if (!rule.IsFact() || !store.IsGround(rule.head)) {
+          comp->fact_only = false;
+        }
+        for (const Literal& lit : rule.body) {
+          if (lit.atom == kNoTerm) continue;
+          TermId name = store.PredName(lit.atom);
+          if (member_names.count(name) > 0) continue;
+          if (name_seen.insert(name).second) comp->lower_names.push_back(name);
+        }
+      }
+      comp->signature = ComponentSignature(*comp);
+      if (!comp->rules.empty()) {
+        comp->cache_key = *std::min_element(comp->member_names.begin(),
+                                            comp->member_names.end());
+        ++shape->cached_components;
+      }
+      // A fact-only component has no out-edges, so it is one name.
+      if (comp->fact_only) {
+        const uint32_t v = cond.members[c][0];
+        comp->named_by_first_rule =
+            cond.introduced_by[v] == cond.rules_of[c][0];
+        if (guards.count(comp->member_names[0]) == 0) {
+          shape->fact_relations.emplace(comp->member_names[0], c);
+        }
+      }
+    }
+  } else {
+    auto comp = std::make_shared<SchedulerPlan::Component>();
+    for (size_t r = 0; r < planned.rules.size(); ++r) add_rule(comp.get(), r);
+    plan->components.push_back(std::move(comp));
+  }
+
+  // Waves: all components with rules at one topological depth. A name
+  // with no rules has only false atoms; nothing to schedule for it.
+  for (const auto& comp : plan->components) {
+    if (comp->rules.empty()) continue;
+    if (shape->waves.size() <= comp->depth) {
+      shape->waves.resize(comp->depth + 1);
+    }
+    shape->waves[comp->depth].push_back(comp->id);
+  }
+  plan->shape = std::move(shape);
+  return plan;
+}
+
+}  // namespace
+
+std::shared_ptr<const SchedulerPlan> BuildSchedulerPlan(
+    TermStore& store, const Program& program, KernelCache* kernel_cache) {
+  return BuildPlan(store, program, kernel_cache, ProgramFingerprint(program));
+}
+
+std::shared_ptr<const SchedulerPlan> PatchSchedulerPlan(
+    const TermStore& store, const SchedulerPlan& plan,
+    const std::vector<TermId>& retracted, const Program& program,
+    size_t added_from) {
+  const SchedulerPlan::Shape& shape = *plan.shape;
+  if (!shape.exact) return nullptr;
+  // Copies of the components the delta touches, made on first touch. Only
+  // fact-only, non-guard relations qualify: their facts add no edge, so
+  // the graph, its numbering and every other component stay as they are.
+  std::unordered_map<uint32_t, std::shared_ptr<SchedulerPlan::Component>>
+      touched;
+  auto touch = [&](TermId atom) -> SchedulerPlan::Component* {
+    auto it = shape.fact_relations.find(store.PredName(atom));
+    if (it == shape.fact_relations.end()) return nullptr;
+    auto [slot, inserted] = touched.try_emplace(it->second);
+    if (inserted) {
+      slot->second = std::make_shared<SchedulerPlan::Component>(
+          *plan.components[it->second]);
+    }
+    return slot->second.get();
+  };
+  uint64_t fingerprint = plan.program_fingerprint;
+
+  if (!retracted.empty()) {
+    for (TermId atom : retracted) {
+      if (touch(atom) == nullptr) return nullptr;
+    }
+    std::unordered_set<TermId> gone(retracted.begin(), retracted.end());
+    for (auto& [id, comp] : touched) {
+      // The first rule named the relation: without it, the name is first
+      // mentioned later and the condensation may renumber.
+      if (comp->named_by_first_rule && gone.count(comp->rules[0].head) > 0) {
+        return nullptr;
+      }
+      size_t kept = 0;
+      for (size_t k = 0; k < comp->rules.size(); ++k) {
+        if (gone.count(comp->rules[k].head) > 0) {
+          fingerprint -= RuleFingerprint(comp->identities[k], comp->rules[k]);
+          continue;
+        }
+        if (kept != k) {
+          comp->rules[kept] = std::move(comp->rules[k]);
+          comp->identities[kept] = comp->identities[k];
+        }
+        ++kept;
+      }
+      comp->rules.resize(kept);
+      comp->identities.resize(kept);
+    }
+  }
+  // Additions append, so they append to their relation's rules too.
+  for (size_t r = added_from; r < program.rules.size(); ++r) {
+    const Rule& rule = program.rules[r];
+    if (!rule.IsFact() || !store.IsGround(rule.head)) return nullptr;
+    SchedulerPlan::Component* comp = touch(rule.head);
+    if (comp == nullptr) return nullptr;
+    comp->rules.push_back(rule);
+    comp->identities.push_back(program.serial(r));
+    fingerprint += RuleFingerprint(program.serial(r), rule);
+  }
+
+  auto patched = std::make_shared<SchedulerPlan>();
+  patched->shape = plan.shape;
+  patched->components = plan.components;
+  for (auto& [id, comp] : touched) {
+    // An emptied relation leaves the waves and the cache: rebuild.
+    if (comp->rules.empty()) return nullptr;
+    comp->signature = ComponentSignature(*comp);
+    patched->components[id] = std::move(comp);
+  }
+  patched->program_size = program.size();
+  patched->program_fingerprint = fingerprint;
+  return patched;
 }
 
 WfsResult ComputeWfsScc(const GroundProgram& ground, SchedulerStats* stats,
@@ -355,24 +591,7 @@ WfsResult ComputeWfsScc(const GroundProgram& ground, SchedulerStats* stats,
 
 namespace {
 
-/// Per-component work order, prepared on the calling thread before a
-/// wave is dispatched. Everything a batch solver reads is immutable for
-/// the duration of the wave.
-struct ComponentPlan {
-  size_t id = 0;
-  std::vector<size_t> rules;          // Indices into program.rules.
-  std::vector<TermId> member_names;   // Empty only on the non-exact path.
-  std::vector<TermId> lower_names;    // First-reference order.
-  uint64_t signature = 0;        // Member names + rule serials.
-  uint64_t lower_signature = 0;  // Published lower models; set at wave time.
-  /// Every rule is a ground fact: the component settles without grounding
-  /// or an atom-SCC pass — each distinct head is a trivially true
-  /// singleton SCC. This is the hot shape for delta maintenance, where a
-  /// retraction dirties a large fact relation whose re-solve must not pay
-  /// a semi-naive fixpoint.
-  bool fact_only = false;
-  TermId cache_key = kNoTerm;
-};
+using PlanComponent = SchedulerPlan::Component;
 
 /// Output of solving one batch of same-depth components. When the batch
 /// ran on a worker, `clone` holds its private term store and every id in
@@ -410,9 +629,8 @@ constexpr size_t kWorkerTraceCapacity = 1024;
 /// and truth values a solo run would have — the batch only amortizes the
 /// per-component passes. `support_true`/`support_all` are read-only here
 /// (Contains/WithName), which is what makes concurrent batches safe.
-void SolveBatch(TermStore& store, const Program& program,
-                const BottomUpOptions& options, bool exact,
-                const std::vector<const ComponentPlan*>& comps,
+void SolveBatch(TermStore& store, const BottomUpOptions& options, bool exact,
+                const std::vector<const PlanComponent*>& comps,
                 const FactBase& support_true, const FactBase& support_all,
                 BatchResult* out) {
   out->comps.resize(comps.size());
@@ -432,7 +650,7 @@ void SolveBatch(TermStore& store, const Program& program,
   // — the fast path only skips the semi-naive machinery, which is what
   // keeps re-solving a dirtied 100k-fact relation cheap under delta
   // maintenance.
-  std::vector<const ComponentPlan*> slow;   // Components that need solving.
+  std::vector<const PlanComponent*> slow;   // Components that need solving.
   std::vector<size_t> slot_of;              // Their out->comps index.
   size_t fact_atoms = 0;
   for (size_t j = 0; j < comps.size(); ++j) {
@@ -444,8 +662,8 @@ void SolveBatch(TermStore& store, const Program& program,
     }
     BatchResult::PerComponent& pc = out->comps[j];
     std::unordered_set<TermId> seen;
-    for (size_t r : comps[j]->rules) {
-      TermId head = program.rules[r].head;
+    for (const Rule& rule : comps[j]->rules) {
+      TermId head = rule.head;
       obs::Count(obs::Counter::kGroundInstances);
       GroundRule instance;
       instance.head = head;
@@ -485,8 +703,8 @@ void SolveBatch(TermStore& store, const Program& program,
   Program batch_program;
   std::vector<size_t> comp_of_rule;
   for (size_t k = 0; k < slow.size(); ++k) {
-    for (size_t r : slow[k]->rules) {
-      batch_program.rules.push_back(program.rules[r]);
+    for (const Rule& rule : slow[k]->rules) {
+      batch_program.rules.push_back(rule);
       comp_of_rule.push_back(slot_of[k]);
     }
   }
@@ -497,8 +715,8 @@ void SolveBatch(TermStore& store, const Program& program,
   std::vector<TermId> seeds;
   {
     std::unordered_set<TermId> seen;
-    for (const ComponentPlan* plan : slow) {
-      for (TermId name : plan->lower_names) {
+    for (const PlanComponent* comp : slow) {
+      for (TermId name : comp->lower_names) {
         if (!seen.insert(name).second) continue;
         const std::vector<TermId>& with = support_all.WithName(name);
         seeds.insert(seeds.end(), with.begin(), with.end());
@@ -667,8 +885,12 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
   ComponentWfsResult result;
 
   // Same refusal (and wording) as the relevance grounder: aggregates and
-  // builtins belong to the aggregate evaluator.
-  for (const Rule& rule : program.rules) {
+  // builtins belong to the aggregate evaluator. The same pass
+  // fingerprints the program, which decides whether the cached plan is
+  // this program's.
+  uint64_t fingerprint = 0;
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    const Rule& rule = program.rules[r];
     for (const Literal& lit : rule.body) {
       if (lit.kind == Literal::Kind::kAggregate ||
           lit.kind == Literal::Kind::kBuiltin) {
@@ -680,103 +902,40 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         return result;
       }
     }
+    fingerprint += RuleFingerprint(program.serial(r), rule);
   }
 
-  // HiLog name variables bound by fact-only guards are instantiated first,
-  // so Example 6.3-style programs condense per name; everything below
-  // plans over `planned`. Rule identities are serials, mixed with the
-  // matched guard atoms for instances.
-  GuardedProgram guarded =
-      InstantiateGuardedNames(store, program, options.kernel_cache);
+  // The plan: reused when the cache holds the one built (or patched, by
+  // Engine::ApplyDelta) for exactly this program, else built here.
+  std::shared_ptr<const SchedulerPlan> plan_ptr;
+  if (cache != nullptr && cache->plan != nullptr &&
+      cache->plan->program_size == program.size() &&
+      cache->plan->program_fingerprint == fingerprint) {
+    plan_ptr = cache->plan;
+    obs::Count(obs::Counter::kSchedPlansReused);
+  } else {
+    plan_ptr = BuildPlan(store, program, options.kernel_cache, fingerprint);
+    obs::Count(obs::Counter::kSchedPlansBuilt);
+    if (cache != nullptr) cache->plan = plan_ptr;
+  }
+  const SchedulerPlan& plan = *plan_ptr;
+  const SchedulerPlan::Shape& shape = *plan.shape;
+  const bool exact = shape.exact;
   // Instances are one rule per guard match. Compiling them into the
   // caller's (the engine's) kernel cache would make every Engine::Fork
   // clone one program per game; a per-solve cache compiles only the
   // components that actually re-solve.
-  if (guarded.instantiated) options.kernel_cache = &local_kernel_cache;
-  const Program& planned = guarded.instantiated ? guarded.program : program;
-  auto identity = [&](size_t r) {
-    return guarded.instantiated ? guarded.identity[r] : program.serial(r);
+  if (shape.instantiated) options.kernel_cache = &local_kernel_cache;
+  auto cached = [&](const PlanComponent& comp) {
+    return exact && cache != nullptr && comp.cache_key != kNoTerm;
   };
-  ProgramCondensation cond = CondenseProgram(store, planned);
-
-  // Component plans in dependency order, with cache signatures. A plan's
-  // own signature covers its member names and its rule identities
-  // (Program::serial — stable across both append and in-place retraction,
-  // where plain indices would shift). What the component reads from below
-  // is covered separately by `lower_signature`, computed at wave time
-  // from the per-name model signatures accumulated as lower components
-  // publish. A non-exact condensation (some predicate name non-ground)
-  // cannot split evaluation soundly, so the whole program becomes one
-  // monolithic plan; atom-level scheduling in ComputeWfsScc still
-  // applies.
-  std::vector<ComponentPlan> plans;
-  std::vector<uint32_t> depth;
-  if (cond.exact) {
-    depth = CondensationDepths(cond);
-    plans.resize(cond.num_components);
-    for (uint32_t c = 0; c < cond.num_components; ++c) {
-      ComponentPlan& plan = plans[c];
-      plan.id = c;
-      plan.rules = std::move(cond.rules_of[c]);
-      for (uint32_t v : cond.members[c]) {
-        plan.member_names.push_back(cond.graph.node(v));
-      }
-      std::unordered_set<TermId> member_names(plan.member_names.begin(),
-                                              plan.member_names.end());
-      // Lower names this component's bodies reference, in first-reference
-      // order (deterministic seeding and lower-signature mixing).
-      std::unordered_set<TermId> name_seen;
-      plan.fact_only = !plan.rules.empty();
-      for (size_t r : plan.rules) {
-        const Rule& rule = planned.rules[r];
-        if (!rule.IsFact() || !store.IsGround(rule.head)) {
-          plan.fact_only = false;
-        }
-        for (const Literal& lit : rule.body) {
-          if (lit.atom == kNoTerm) continue;
-          TermId name = store.PredName(lit.atom);
-          if (member_names.count(name) > 0) continue;
-          if (name_seen.insert(name).second) plan.lower_names.push_back(name);
-        }
-      }
-
-      std::vector<TermId> sorted_names = plan.member_names;
-      std::sort(sorted_names.begin(), sorted_names.end());
-      uint64_t h = kSigSeed;
-      for (TermId name : sorted_names) h = Mix(h, name);
-      h = Mix(h, 0xFFFFFFFFull);
-      for (size_t r : plan.rules) h = Mix(h, identity(r));
-      plan.signature = h;
-      if (!plan.rules.empty()) {
-        plan.cache_key = *std::min_element(plan.member_names.begin(),
-                                           plan.member_names.end());
-      }
-    }
-  } else {
-    plans.resize(1);
-    for (size_t r = 0; r < planned.rules.size(); ++r) {
-      plans[0].rules.push_back(r);
-    }
-    depth.assign(1, 0);
-  }
-
-  // Waves: all components with rules at one topological depth. A name
-  // with no rules has only false atoms; nothing to schedule for it.
-  uint32_t num_waves = 0;
-  for (size_t c = 0; c < plans.size(); ++c) {
-    if (!plans[c].rules.empty()) num_waves = std::max(num_waves, depth[c] + 1);
-  }
-  std::vector<std::vector<size_t>> waves(num_waves);
-  for (size_t c = 0; c < plans.size(); ++c) {
-    if (!plans[c].rules.empty()) waves[depth[c]].push_back(c);
-  }
 
   // Published atoms, recorded per predicate name in publish order. The
   // support FactBases a batch solve reads are hydrated *lazily* from
   // these: every support read is name-keyed (grounding seeds come from
-  // support_all.WithName on the plan's lower names; resolution probes
-  // membership of lower-name atoms only — exactness guarantees every
-  // literal's predicate name is ground), so only the names some
+  // support_all.WithName on the component's lower names; resolution
+  // probes membership of lower-name atoms only — exactness guarantees
+  // every literal's predicate name is ground), so only the names some
   // to-be-solved component actually references ever pay a FactBase
   // insert. On a maintenance solve where almost every component replays,
   // this is the difference between O(delta cone) and O(model) publish
@@ -792,6 +951,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
   FactBase support_all;   // True-or-undefined atoms (hydrated).
   using NamePublish = ComponentCacheEntry::NamePublish;
   std::unordered_map<TermId, const NamePublish*> published;
+  published.reserve(plan.components.size());
   std::deque<NamePublish> fresh_publishes;
   std::unordered_set<TermId> hydrated;
   auto hydrate = [&](TermId name) {
@@ -804,7 +964,6 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
     }
     for (TermId a : it->second->undefined_atoms) support_all.Insert(store, a);
   };
-  std::vector<TermId> model_true, model_undef;
   // Canonical signature of each name's published model: the atom sequence
   // with truth tags, in exact publish order. A component's output is a
   // deterministic function of its rules plus, per referenced lower name,
@@ -815,29 +974,58 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
   // by exactly one component, so its signature is installed whole when
   // that component publishes.
   std::unordered_map<TermId, uint64_t> name_sig;
+  name_sig.reserve(plan.components.size());
   auto install_publish = [&](const NamePublish& np) {
     name_sig[np.name] = np.sig;
     published[np.name] = &np;
   };
-  // Atom table of the final model, built incrementally in publish order:
-  // interning each component's atom sequence as it publishes yields
-  // exactly the table CollectAtoms would build over the concatenated
-  // ground program, without materializing the replayed rules.
-  AtomTable table;
-  auto lower_signature_of = [&](const ComponentPlan& plan) {
+  auto lower_signature_of = [&](const PlanComponent& comp) {
     uint64_t h = kSigSeed;
-    for (TermId name : plan.lower_names) {
+    for (TermId name : comp.lower_names) {
       h = Mix(h, name);
       auto it = name_sig.find(name);
       h = Mix(h, it == name_sig.end() ? kSigSeed : it->second);
     }
     return h;
   };
+
+  // Each component's cache entry from earlier solves, looked up once.
+  // Their atom counts size the model's atom table up front, so replaying
+  // a mostly clean program interns without rehashing.
+  std::vector<const ComponentCacheEntry*> prior(plan.components.size(),
+                                                nullptr);
+  AtomTable table;
+  if (cache != nullptr && exact && !cache->components.empty()) {
+    size_t expected_atoms = 0;
+    for (const auto& comp : plan.components) {
+      if (!cached(*comp)) continue;
+      auto it = cache->components.find(comp->cache_key);
+      if (it == cache->components.end()) continue;
+      prior[comp->id] = it->second.get();
+      expected_atoms += it->second->atoms.size();
+    }
+    table.Reserve(expected_atoms);
+  }
+  // Atom table of the final model and its truth values, built together in
+  // publish order: interning each component's atom sequence as it
+  // publishes yields exactly the table CollectAtoms would build over the
+  // concatenated ground program, without materializing the replayed rules.
+  // An atom takes its value when first interned; the component that owns
+  // it publishes before any component that reads it.
+  std::vector<TruthValue> values;
+  values.reserve(table.atoms().capacity());
+  auto intern = [&](TermId atom, TruthValue tv) {
+    const uint32_t idx = table.Intern(atom);
+    if (idx == values.size()) values.push_back(tv);
+    return idx;
+  };
+  size_t true_count = 0, undefined_count = 0;
+
   const size_t threads = std::max<size_t>(options.eval_threads, 1);
   size_t max_wave_width = 0;
   bool stop = false;
 
-  for (const std::vector<size_t>& wave : waves) {
+  for (const std::vector<uint32_t>& wave : shape.waves) {
     if (wave.empty()) continue;
     if (stop || CancelRequested()) {
       result.cancelled = true;
@@ -852,16 +1040,16 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
     // component published in an earlier wave (reverse-topological ids
     // put dependencies at strictly smaller depths).
     std::vector<const ComponentCacheEntry*> replay(wave.size(), nullptr);
+    std::vector<uint64_t> lower_signature(wave.size(), 0);
     std::vector<size_t> to_solve;
     for (size_t i = 0; i < wave.size(); ++i) {
-      ComponentPlan& plan = plans[wave[i]];
-      if (cond.exact && cache != nullptr && plan.cache_key != kNoTerm) {
-        plan.lower_signature = lower_signature_of(plan);
-        auto it = cache->components.find(plan.cache_key);
-        if (it != cache->components.end() &&
-            it->second->signature == plan.signature &&
-            it->second->lower_signature == plan.lower_signature) {
-          replay[i] = it->second.get();
+      const PlanComponent& comp = *plan.components[wave[i]];
+      if (cached(comp)) {
+        lower_signature[i] = lower_signature_of(comp);
+        const ComponentCacheEntry* entry = prior[comp.id];
+        if (entry != nullptr && entry->signature == comp.signature &&
+            entry->lower_signature == lower_signature[i]) {
+          replay[i] = entry;
           continue;
         }
       }
@@ -869,24 +1057,25 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
     }
 
     // Hydrate the support bases with exactly the lower names this wave's
-    // solves will read. Deterministic (to_solve order, then the plan's
-    // first-reference lower-name order) and independent of eval_threads.
+    // solves will read. Deterministic (to_solve order, then the
+    // component's first-reference lower-name order) and independent of
+    // eval_threads.
     for (size_t i : to_solve) {
-      for (TermId name : plans[wave[i]].lower_names) hydrate(name);
+      for (TermId name : plan.components[wave[i]]->lower_names) hydrate(name);
     }
 
     // Contiguous batches in component-id order: every thread count
     // publishes identical results, only the batch shapes change.
     const size_t nbatches =
         to_solve.empty() ? 0 : std::min(to_solve.size(), threads);
-    std::vector<std::vector<const ComponentPlan*>> batch_plans(nbatches);
+    std::vector<std::vector<const PlanComponent*>> batch_comps(nbatches);
     std::vector<size_t> batch_of(wave.size(), SIZE_MAX);
     std::vector<size_t> index_in_batch(wave.size(), SIZE_MAX);
     for (size_t k = 0; k < to_solve.size(); ++k) {
       const size_t b = k * nbatches / to_solve.size();
       batch_of[to_solve[k]] = b;
-      index_in_batch[to_solve[k]] = batch_plans[b].size();
-      batch_plans[b].push_back(&plans[wave[to_solve[k]]]);
+      index_in_batch[to_solve[k]] = batch_comps[b].size();
+      batch_comps[b].push_back(plan.components[wave[to_solve[k]]].get());
     }
 
     std::vector<BatchResult> batches(nbatches);
@@ -895,8 +1084,8 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       // Sequential: the wave is (at most) one batch solved in place on
       // the caller's store — same-depth batching with zero clone cost.
       for (size_t b = 0; b < nbatches; ++b) {
-        SolveBatch(store, planned, options, cond.exact, batch_plans[b],
-                   support_true, support_all, &batches[b]);
+        SolveBatch(store, options, exact, batch_comps[b], support_true,
+                   support_all, &batches[b]);
       }
     } else {
       CancelToken* token = CurrentCancelToken();
@@ -914,8 +1103,8 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         obs::ScopedObsContext obs_ctx(&batches[b].metrics,
                                       batches[b].trace.get());
         ScopedCancelToken cancel_ctx(token);
-        SolveBatch(*batches[b].clone, planned, options, cond.exact,
-                   batch_plans[b], support_true, support_all, &batches[b]);
+        SolveBatch(*batches[b].clone, options, exact, batch_comps[b],
+                   support_true, support_all, &batches[b]);
       });
       // Fold the worker-local sinks into the caller's, in batch order
       // (counters/phases add, gauges keep the high-water mark, trace
@@ -945,8 +1134,8 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       ++result.stats.waves;
       max_wave_width = std::max(max_wave_width, to_solve.size());
       size_t batched = 0;
-      for (const std::vector<const ComponentPlan*>& bp : batch_plans) {
-        if (bp.size() > 1) batched += bp.size();
+      for (const std::vector<const PlanComponent*>& bc : batch_comps) {
+        if (bc.size() > 1) batched += bc.size();
       }
       if (batched > 0) {
         obs::Count(obs::Counter::kSchedParallelBatchedComponents, batched);
@@ -957,18 +1146,18 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
     // Publish in component-id order, replayed and solved alike.
     std::vector<std::vector<TermId>> remap(nbatches);
     for (size_t i = 0; i < wave.size(); ++i) {
-      const ComponentPlan& plan = plans[wave[i]];
+      const PlanComponent& comp = *plan.components[wave[i]];
       if (replay[i] != nullptr) {
         const ComponentCacheEntry& entry = *replay[i];
         result.ground_count += entry.ground_rules.size();
         if (need_ground) {
           for (const GroundRule& g : entry.ground_rules) result.ground.Add(g);
         }
-        for (TermId a : entry.atoms) table.Intern(a);
-        model_true.insert(model_true.end(), entry.true_atoms.begin(),
-                          entry.true_atoms.end());
-        model_undef.insert(model_undef.end(), entry.undefined_atoms.begin(),
-                           entry.undefined_atoms.end());
+        for (size_t k = 0; k < entry.atoms.size(); ++k) {
+          intern(entry.atoms[k], entry.atom_values[k]);
+        }
+        true_count += entry.true_atoms.size();
+        undefined_count += entry.undefined_atoms.size();
         for (const NamePublish& np : entry.names) install_publish(np);
         result.envelope_size += entry.envelope_size;
         obs::Count(obs::Counter::kSchedComponentsReused);
@@ -997,8 +1186,8 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         return batch.clone == nullptr ? t : remap[b][t];
       };
       ComponentCacheEntry entry;
-      entry.signature = plan.signature;
-      entry.lower_signature = plan.lower_signature;
+      entry.signature = comp.signature;
+      entry.lower_signature = lower_signature[i];
       entry.envelope_size = pc.envelope_size;
       result.envelope_size += pc.envelope_size;
       // Per-name publishes of this component, in first-publish order:
@@ -1018,7 +1207,6 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       };
       for (TermId a : pc.true_atoms) {
         TermId atom = map(a);
-        model_true.push_back(atom);
         entry.true_atoms.push_back(atom);
         NamePublish& np = pub_for(atom);
         np.sig = Mix(np.sig, atom);
@@ -1027,13 +1215,14 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       }
       for (TermId a : pc.undefined_atoms) {
         TermId atom = map(a);
-        model_undef.push_back(atom);
         entry.undefined_atoms.push_back(atom);
         NamePublish& np = pub_for(atom);
         np.sig = Mix(np.sig, atom);
         np.sig = Mix(np.sig, 2);
         np.undefined_atoms.push_back(atom);
       }
+      true_count += entry.true_atoms.size();
+      undefined_count += entry.undefined_atoms.size();
       if (batch.clone != nullptr) {
         for (GroundRule& g : pc.ground) {
           g.head = map(g.head);
@@ -1044,19 +1233,34 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       // The component's atom-table contribution, deduplicated within the
       // component: interning it reproduces what a CollectAtoms scan of
       // these rules would have added, and replays intern it directly.
+      // Every new atom starts false; the component's true and undefined
+      // atoms (heads of its rules, so already interned) are then set.
+      // An atom already true or undefined here is a lower component's,
+      // which any replay of this entry sees published first (the lower
+      // signature pins it), so the entry leaves it out.
       {
         std::unordered_set<TermId> seen;
+        std::vector<uint32_t> index;
         auto collect = [&](TermId a) {
-          if (seen.insert(a).second) {
-            entry.atoms.push_back(a);
-            table.Intern(a);
-          }
+          if (!seen.insert(a).second) return;
+          const uint32_t idx = intern(a, TruthValue::kFalse);
+          if (values[idx] != TruthValue::kFalse) return;
+          entry.atoms.push_back(a);
+          index.push_back(idx);
         };
         for (const GroundRule& g : pc.ground) {
           collect(g.head);
           for (TermId a : g.pos) collect(a);
           for (TermId a : g.neg) collect(a);
         }
+        auto set = [&](TermId a, TruthValue tv) {
+          const uint32_t idx = table.Find(a);
+          if (idx != UINT32_MAX) values[idx] = tv;
+        };
+        for (TermId a : entry.true_atoms) set(a, TruthValue::kTrue);
+        for (TermId a : entry.undefined_atoms) set(a, TruthValue::kUndefined);
+        entry.atom_values.reserve(index.size());
+        for (uint32_t idx : index) entry.atom_values.push_back(values[idx]);
       }
       result.ground_count += pc.ground.size();
       if (need_ground) {
@@ -1065,17 +1269,15 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       // Install this component's publishes: the cache entry keeps its own
       // copy (future replays), the per-solve arena owns what `published`
       // points at for later waves of this solve.
-      if (cond.exact && cache != nullptr && plan.cache_key != kNoTerm) {
-        entry.names = pubs;
-      }
+      if (cached(comp)) entry.names = pubs;
       for (NamePublish& np : pubs) {
         fresh_publishes.push_back(std::move(np));
         install_publish(fresh_publishes.back());
       }
-      if (cond.exact && cache != nullptr && plan.cache_key != kNoTerm) {
+      if (cached(comp)) {
         entry.ground_rules = std::move(pc.ground);
         std::shared_ptr<const ComponentCacheEntry>& slot =
-            cache->components[plan.cache_key];
+            cache->components[comp.cache_key];
         if (slot != nullptr) {
           // DRed accounting: re-solving a dirty cached component
           // conceptually overdeletes everything it had published;
@@ -1108,12 +1310,13 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
   // A completed exact solve proves which components exist; cache entries
   // keyed by a name no component owns any more (e.g. every fact of a
   // relation was retracted) are orphans — their atoms were overdeleted
-  // with nothing rederiving them.
-  if (cond.exact && cache != nullptr && !result.cancelled &&
-      !result.truncated) {
+  // with nothing rederiving them. Every live component now has an entry,
+  // so a cache of exactly that size has none.
+  if (exact && cache != nullptr && !result.cancelled && !result.truncated &&
+      cache->components.size() != shape.cached_components) {
     std::unordered_set<TermId> live;
-    for (const ComponentPlan& plan : plans) {
-      if (plan.cache_key != kNoTerm) live.insert(plan.cache_key);
+    for (const auto& comp : plan.components) {
+      if (comp->cache_key != kNoTerm) live.insert(comp->cache_key);
     }
     for (auto it = cache->components.begin();
          it != cache->components.end();) {
@@ -1137,21 +1340,9 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
   obs::SetGauge(obs::Gauge::kAtomTableSize, table.size());
   obs::SetGauge(obs::Gauge::kGroundRules, result.ground_count);
   obs::SetGauge(obs::Gauge::kEnvelopeSize, result.envelope_size);
-  result.model = Interpretation(std::move(table));
-  const AtomTable& atoms = result.model.atoms();
-  for (uint32_t i = 0; i < atoms.size(); ++i) {
-    result.model.SetAt(i, TruthValue::kFalse);
-  }
-  for (TermId a : model_true) {
-    uint32_t idx = atoms.Find(a);
-    if (idx != UINT32_MAX) result.model.SetAt(idx, TruthValue::kTrue);
-  }
-  for (TermId a : model_undef) {
-    uint32_t idx = atoms.Find(a);
-    if (idx != UINT32_MAX) result.model.SetAt(idx, TruthValue::kUndefined);
-  }
-  obs::Count(obs::Counter::kWfsTrueAtoms, model_true.size());
-  obs::Count(obs::Counter::kWfsUndefinedAtoms, model_undef.size());
+  result.model = Interpretation(std::move(table), std::move(values));
+  obs::Count(obs::Counter::kWfsTrueAtoms, true_count);
+  obs::Count(obs::Counter::kWfsUndefinedAtoms, undefined_count);
   return result;
 }
 

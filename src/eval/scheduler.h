@@ -29,6 +29,10 @@ struct ProgramCondensation {
   std::vector<std::vector<size_t>> rules_of;
   /// Graph node indices grouped by component.
   std::vector<std::vector<uint32_t>> members;
+  /// Node index -> index of the rule that first mentions the name. Node
+  /// (and so component) numbering follows first mention, which is why
+  /// removing such a rule can renumber the condensation.
+  std::vector<size_t> introduced_by;
   /// True when every predicate name (head and body) is ground. HiLog
   /// variable names (winning(M)) make the name-level graph an
   /// under-approximation of the real call structure, so a non-exact
@@ -66,6 +70,10 @@ struct GuardedProgram {
   /// Parallel to `program.rules`: the cache identity of each rule — its
   /// source serial, mixed with the matched guard atoms for an instance.
   std::vector<uint64_t> identity;
+  /// Every candidate guard name (the ground names of positive literals in
+  /// variable-named rules), whether or not its relation qualified. A fact
+  /// delta on one of these can change the instances.
+  std::vector<TermId> guard_names;
 };
 
 GuardedProgram InstantiateGuardedNames(TermStore& store,
@@ -151,10 +159,17 @@ struct ComponentCacheEntry {
   std::vector<GroundRule> ground_rules;
   /// The atom-table contribution of `ground_rules`: every atom occurrence
   /// (head, positive body, negative body, in rule order) deduplicated
-  /// within the component. Replaying a component interns this sequence
-  /// instead of re-scanning its ground rules, so a maintenance solve's
-  /// replay cost is O(atoms), not O(ground-rule copies).
+  /// within the component, less the lower components' true and undefined
+  /// atoms (interned before this component publishes). Replaying a
+  /// component interns this sequence instead of re-scanning its ground
+  /// rules, so a maintenance solve's replay cost is O(atoms), not
+  /// O(ground-rule copies).
   std::vector<TermId> atoms;
+  /// Parallel to `atoms`: each atom's value in the model. Replay sets an
+  /// atom's value as it interns it, so assembling the model needs no
+  /// lookup pass. (An atom a lower component owns is interned, with its
+  /// value, before this component publishes.)
+  std::vector<TruthValue> atom_values;
   /// Per member name that published at least one atom: the name's final
   /// model signature and its atoms split by truth value, in publish
   /// order. A name is owned by exactly one component (exactness), so
@@ -172,6 +187,81 @@ struct ComponentCacheEntry {
   size_t envelope_size = 0;
 };
 
+/// Everything SolveWfsByComponents derives from the program's rules before
+/// it reads any truth value: the guard-instantiated rules (the plan's
+/// rules, not Engine::program()), the condensation's components in
+/// dependency order with their rules, rule identities, signatures and
+/// depths, and the waves. A plan is immutable once built, and a fact delta
+/// that leaves the condensation's shape alone patches it
+/// (PatchSchedulerPlan) instead of re-planning the whole program.
+struct SchedulerPlan {
+  /// One predicate-level component of the condensation.
+  struct Component {
+    uint32_t id = 0;
+    /// The component's rules in program order. Own copies: a retraction
+    /// elsewhere shifts rule indices but never touches these.
+    std::vector<Rule> rules;
+    /// Parallel to `rules`: Program::serial, mixed with the matched guard
+    /// atoms for a guard instance (GuardedProgram::identity).
+    std::vector<uint64_t> identities;
+    std::vector<TermId> member_names;  // Empty only on the non-exact path.
+    std::vector<TermId> lower_names;   // First-reference order.
+    uint64_t signature = 0;            // Member names + rule identities.
+    uint32_t depth = 0;                // CondensationDepths.
+    /// Every rule is a ground fact: the component settles without
+    /// grounding or an atom-SCC pass — each distinct head is a trivially
+    /// true singleton SCC. This is the hot shape for delta maintenance,
+    /// where a retraction dirties a large fact relation whose re-solve
+    /// must not pay a semi-naive fixpoint.
+    bool fact_only = false;
+    /// For a fact-only component: its first rule is where the plan first
+    /// mentions its name. Retracting that rule renumbers the condensation.
+    bool named_by_first_rule = false;
+    TermId cache_key = kNoTerm;  // Smallest member name; kNoTerm: uncached.
+  };
+  /// The part no patch changes, shared by a plan and its patches.
+  struct Shape {
+    bool exact = true;
+    bool instantiated = false;  // GuardedProgram::instantiated.
+    /// Component ids with rules, grouped by depth (one wave per depth).
+    std::vector<std::vector<uint32_t>> waves;
+    /// Fact-only relations whose facts a delta may add or retract without
+    /// a rebuild (no guard name among them): name -> component id.
+    std::unordered_map<TermId, uint32_t> fact_relations;
+    /// Components with a cache key; after a complete solve the settled-
+    /// component cache holds exactly these.
+    size_t cached_components = 0;
+  };
+  std::shared_ptr<const Shape> shape;
+  std::vector<std::shared_ptr<const Component>> components;
+  /// The program the plan is for: its rule count, and the wrapping sum
+  /// over its rules of a hash of (serial, rule). The sum lets a patch
+  /// update it rule by rule; serials rise in program order, so it still
+  /// tells a reordering apart.
+  size_t program_size = 0;
+  uint64_t program_fingerprint = 0;
+};
+
+/// Plans `program` from scratch: guard instantiation, condensation,
+/// component rules and signatures, depths and waves.
+std::shared_ptr<const SchedulerPlan> BuildSchedulerPlan(
+    TermStore& store, const Program& program,
+    KernelCache* kernel_cache = nullptr);
+
+/// The plan of `program`, derived from `plan` (the plan of `program`
+/// before a delta) when the delta only retracted ground facts (every fact
+/// rule whose head is in `retracted`) and appended the rules of `program`
+/// from index `added_from` on. Returns nullptr — rebuild — unless every
+/// touched relation is an existing fact-only, non-guard relation
+/// (SchedulerPlan::Shape::fact_relations), every added rule is a ground
+/// fact of one, no relation empties, and no retraction removes the rule
+/// that first mentions a name. A patched plan equals BuildSchedulerPlan of
+/// `program`.
+std::shared_ptr<const SchedulerPlan> PatchSchedulerPlan(
+    const TermStore& store, const SchedulerPlan& plan,
+    const std::vector<TermId>& retracted, const Program& program,
+    size_t added_from);
+
 /// Engine-owned cache of settled components, keyed by the smallest member
 /// name. Valid across LoadMore (append-only: TermIds and rule serials of
 /// loaded text never change) and across Engine::ApplyDelta (retraction
@@ -182,10 +272,16 @@ struct ComponentCacheEntry {
 /// Entries are immutable once published: a re-solve installs a fresh entry
 /// instead of editing the old one. That is what lets Engine::Fork copy the
 /// map of pointers and share the entries with the engine it forked from.
+/// The plan is shared the same way; a solve uses it only for the program
+/// it was built or patched for and otherwise replaces it.
 struct SchedulerCache {
   std::unordered_map<TermId, std::shared_ptr<const ComponentCacheEntry>>
       components;
-  void Clear() { components.clear(); }
+  std::shared_ptr<const SchedulerPlan> plan;
+  void Clear() {
+    components.clear();
+    plan.reset();
+  }
   size_t size() const { return components.size(); }
 };
 

@@ -51,14 +51,17 @@ void WorkerPool::WorkerLoop() {
 void WorkerPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& fn) {
   if (n == 0) return;
+  // threads_ grows under mu_ when another caller asks Shared for more
+  // workers, so even the emptiness check holds the lock.
+  std::unique_lock<std::mutex> lock(mu_);
   if (n == 1 || threads_.empty()) {
+    lock.unlock();
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   auto job = std::make_shared<Job>();
   job->n = n;
   job->fn = &fn;
-  std::unique_lock<std::mutex> lock(mu_);
   jobs_.push_back(job);
   work_cv_.notify_all();
   // The caller claims indices alongside the workers, then waits for the

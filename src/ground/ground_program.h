@@ -1,6 +1,7 @@
 #ifndef HILOG_GROUND_GROUND_PROGRAM_H_
 #define HILOG_GROUND_GROUND_PROGRAM_H_
 
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -50,30 +51,38 @@ class AtomTable {
   size_t size() const { return atoms_.size(); }
   const std::vector<TermId>& atoms() const { return atoms_; }
 
+  /// Sizes the table for `n` atoms, so interning that many never rehashes.
+  void Reserve(size_t n) {
+    atoms_.reserve(n);
+    size_t capacity = slots_.empty() ? 64 : slots_.size();
+    while ((n + 1) * 10 >= capacity * 7) capacity *= 2;
+    if (capacity > slots_.size()) Rehash(capacity);
+  }
+
  private:
   /// Slot holding `atom` or the first empty slot of its probe chain.
   /// Slot values are dense index + 1; 0 marks empty.
   size_t ProbeSlot(TermId atom) const {
     const size_t mask = slots_.size() - 1;
-    size_t i = HashAtom(atom) & mask;
+    size_t i = HomeSlot(atom);
     while (slots_[i] != 0 && atoms_[slots_[i] - 1] != atom) {
       i = (i + 1) & mask;
     }
     return i;
   }
 
-  static size_t HashAtom(TermId atom) {
-    uint64_t x = static_cast<uint64_t>(atom);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdull;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ull;
-    x ^= x >> 33;
-    return static_cast<size_t>(x);
+  /// Fibonacci hashing: the top bits of atom * 2^64/phi. The atoms of one
+  /// component are interned together and have nearby term ids, which
+  /// this spreads evenly over the table with one multiply.
+  size_t HomeSlot(TermId atom) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(atom) * 0x9e3779b97f4a7c15ull) >> shift_);
   }
 
-  void Grow() {
-    const size_t capacity = slots_.empty() ? 64 : slots_.size() * 2;
+  void Grow() { Rehash(slots_.empty() ? 64 : slots_.size() * 2); }
+
+  void Rehash(size_t capacity) {
+    shift_ = 64 - std::countr_zero(capacity);
     slots_.assign(capacity, 0);
     for (uint32_t idx = 0; idx < atoms_.size(); ++idx) {
       size_t i = ProbeSlot(atoms_[idx]);
@@ -83,6 +92,7 @@ class AtomTable {
 
   std::vector<TermId> atoms_;
   std::vector<uint32_t> slots_;
+  int shift_ = 64;  // 64 - log2(slots_.size()), set by Rehash.
 };
 
 /// A ground (Herbrand-instantiated) program, the input to the semantics

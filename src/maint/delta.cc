@@ -1,5 +1,8 @@
 #include "src/maint/delta.h"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <unordered_set>
 
 #include "src/lang/parser.h"
@@ -61,32 +64,43 @@ std::string ApplyRetractions(const TermStore& store, Program* program,
   return "";
 }
 
-std::vector<std::string_view> SplitStatements(std::string_view text) {
+size_t NextStatementEnd(std::string_view text, size_t pos) {
   // Mirrors the lexer's surface rules: '...' quotes have no escapes, '%'
   // comments run to end of line, and '.' is always the statement
-  // terminator outside quotes and comments.
+  // terminator outside quotes and comments. A table finds the next of
+  // those three characters; memchr skips a quote or comment whole.
+  static constexpr std::array<bool, 256> kSpecial = [] {
+    std::array<bool, 256> special{};
+    special[static_cast<unsigned char>('.')] = true;
+    special[static_cast<unsigned char>('\'')] = true;
+    special[static_cast<unsigned char>('%')] = true;
+    return special;
+  }();
+  const char* const begin = text.data();
+  const char* const end = begin + text.size();
+  for (const char* p = begin + std::min(pos, text.size()); p != end;) {
+    const char c = *p;
+    if (!kSpecial[static_cast<unsigned char>(c)]) {
+      ++p;
+      continue;
+    }
+    if (c == '.') return static_cast<size_t>(p + 1 - begin);
+    // An unclosed quote or comment runs to the end: no statement follows.
+    const void* close = std::memchr(p + 1, c == '%' ? '\n' : '\'',
+                                    static_cast<size_t>(end - p - 1));
+    if (close == nullptr) break;
+    p = static_cast<const char*>(close) + 1;
+  }
+  return std::string_view::npos;
+}
+
+std::vector<std::string_view> SplitStatements(std::string_view text) {
   std::vector<std::string_view> statements;
-  size_t start = 0;
-  bool in_quote = false;
-  bool in_comment = false;
-  for (size_t i = 0; i < text.size(); ++i) {
-    char c = text[i];
-    if (in_comment) {
-      if (c == '\n') in_comment = false;
-      continue;
-    }
-    if (in_quote) {
-      if (c == '\'') in_quote = false;
-      continue;
-    }
-    if (c == '\'') {
-      in_quote = true;
-    } else if (c == '%') {
-      in_comment = true;
-    } else if (c == '.') {
-      statements.emplace_back(text.substr(start, i + 1 - start));
-      start = i + 1;
-    }
+  for (size_t start = 0;;) {
+    const size_t end = NextStatementEnd(text, start);
+    if (end == std::string_view::npos) break;
+    statements.push_back(text.substr(start, end - start));
+    start = end;
   }
   return statements;
 }

@@ -38,6 +38,11 @@ std::string ApplyRetractions(const TermStore& store, Program* program,
                              const std::vector<TermId>& retractions,
                              std::vector<size_t>* removed_indices);
 
+/// The offset just past the terminating '.' of the statement that starts
+/// at `pos` (see SplitStatements), or std::string_view::npos when no
+/// statement ends in the rest of `text`.
+size_t NextStatementEnd(std::string_view text, size_t pos);
+
 /// Splits program text into its top-level statements, each ending at its
 /// unquoted, uncommented terminating '.' (inclusive). The grammar parses
 /// one rule per statement, so statement i of a successfully loaded text

@@ -37,6 +37,8 @@ const char* CounterName(Counter c) {
     case Counter::kWfsUndefinedAtoms: return "wfs.undefined_atoms";
     case Counter::kSchedComponents: return "sched.components";
     case Counter::kSchedComponentsReused: return "sched.components_reused";
+    case Counter::kSchedPlansBuilt: return "sched.plans_built";
+    case Counter::kSchedPlansReused: return "sched.plans_reused";
     case Counter::kSchedAtomSccs: return "sched.atom_sccs";
     case Counter::kSchedTrivialSccs: return "sched.trivial_sccs";
     case Counter::kSchedCyclicSccs: return "sched.cyclic_sccs";

@@ -55,6 +55,8 @@ enum class Counter : uint16_t {
   // SCC evaluation scheduler (src/eval/scheduler.*).
   kSchedComponents,        // Predicate-level components evaluated.
   kSchedComponentsReused,  // Components served from the engine cache.
+  kSchedPlansBuilt,        // Solves that planned from the program text.
+  kSchedPlansReused,       // Solves that used the cached or patched plan.
   kSchedAtomSccs,          // Atom-level SCCs settled (all programs).
   kSchedTrivialSccs,       // Of those, acyclic singletons (no Gamma).
   kSchedCyclicSccs,        // Of those, run as alternating mini fixpoints.

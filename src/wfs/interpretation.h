@@ -24,6 +24,9 @@ class Interpretation {
   explicit Interpretation(AtomTable table)
       : table_(std::move(table)),
         values_(table_.size(), TruthValue::kUndefined) {}
+  /// Takes the truth values too: `values[i]` is the value of atom `i`.
+  Interpretation(AtomTable table, std::vector<TruthValue> values)
+      : table_(std::move(table)), values_(std::move(values)) {}
 
   const AtomTable& atoms() const { return table_; }
 

@@ -412,17 +412,22 @@ TEST(EngineMetricsTest, ComponentCountersExactOnHiLogGameDeltas) {
   ASSERT_TRUE(engine.SolveWellFounded().ok);
   EXPECT_EQ(engine.metrics().value(obs::Counter::kSchedComponents), 5u);
   EXPECT_EQ(engine.metrics().value(obs::Counter::kSchedComponentsReused), 0u);
+  EXPECT_EQ(engine.metrics().value(obs::Counter::kSchedPlansBuilt), 1u);
+  EXPECT_EQ(engine.metrics().value(obs::Counter::kSchedPlansReused), 0u);
 
+  // A move fact patches the plan; the guard fact game(mv1) rebuilds it.
   struct Step {
     const char* add;
     const char* retract;
     uint64_t resolved;
     uint64_t skipped;
+    uint64_t plans_built;
+    uint64_t plans_reused;
   };
   const Step steps[] = {
-      {"", "mv1(a,c).", 2, 3},
-      {"mv1(a,c).", "", 2, 3},
-      {"", "game(mv1).", 2, 2},
+      {"", "mv1(a,c).", 2, 3, 0, 1},
+      {"mv1(a,c).", "", 2, 3, 0, 1},
+      {"", "game(mv1).", 2, 2, 1, 0},
   };
   for (const Step& step : steps) {
     engine.metrics().Reset();
@@ -437,6 +442,10 @@ TEST(EngineMetricsTest, ComponentCountersExactOnHiLogGameDeltas) {
     EXPECT_EQ(m.value(obs::Counter::kIncComponentsResolved), step.resolved)
         << step.add << step.retract;
     EXPECT_EQ(m.value(obs::Counter::kIncComponentsSkipped), step.skipped)
+        << step.add << step.retract;
+    EXPECT_EQ(m.value(obs::Counter::kSchedPlansBuilt), step.plans_built)
+        << step.add << step.retract;
+    EXPECT_EQ(m.value(obs::Counter::kSchedPlansReused), step.plans_reused)
         << step.add << step.retract;
   }
   // Without game(mv1) no winning(mv1) atom survives.
