@@ -1,7 +1,7 @@
-// Kernel-executor benchmarks: the compiled join-kernel path against the
-// legacy interpreted loops on the same fixpoints, the variant-cache hit
-// path, and the columnar fingerprint-filter scan the compiled probes
-// ride on (the branch-free intersect loop in FactBase::ProbeBucket).
+// Kernel-executor benchmarks: semi-naive fixpoints through the compiled
+// join kernels, the variant-cache hit path, and the columnar
+// fingerprint-filter scan the compiled probes ride on (the branch-free
+// intersect loop in FactBase::ProbeBucket).
 
 #include <benchmark/benchmark.h>
 
@@ -16,22 +16,7 @@
 namespace hilog {
 namespace {
 
-// Flips the process-wide compilation switch for one benchmark and
-// restores the default afterwards, so binary-wide run order never
-// changes what any other benchmark measures.
-class ScopedCompileRules {
- public:
-  explicit ScopedCompileRules(bool on) : prev_(RuleCompilationEnabled()) {
-    SetRuleCompilationEnabled(on);
-  }
-  ~ScopedCompileRules() { SetRuleCompilationEnabled(prev_); }
-
- private:
-  bool prev_;
-};
-
-void RunTcFixpoint(benchmark::State& state, bool compiled) {
-  ScopedCompileRules guard(compiled);
+void BM_KernelTc_Compiled(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   TermStore store;
   auto parsed = ParseProgram(store, bench::TcProgram(n));
@@ -48,19 +33,9 @@ void RunTcFixpoint(benchmark::State& state, bool compiled) {
   }
   state.SetItemsProcessed(state.iterations() * n * (n + 1) / 2);
 }
-
-void BM_KernelTc_Compiled(benchmark::State& state) {
-  RunTcFixpoint(state, /*compiled=*/true);
-}
 BENCHMARK(BM_KernelTc_Compiled)->Range(16, 256);
 
-void BM_KernelTc_Legacy(benchmark::State& state) {
-  RunTcFixpoint(state, /*compiled=*/false);
-}
-BENCHMARK(BM_KernelTc_Legacy)->Range(16, 256);
-
-void RunHopFixpoint(benchmark::State& state, bool compiled) {
-  ScopedCompileRules guard(compiled);
+void BM_KernelHop_Compiled(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   TermStore store;
   auto parsed = ParseProgram(
@@ -76,16 +51,7 @@ void RunHopFixpoint(benchmark::State& state, bool compiled) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-
-void BM_KernelHop_Compiled(benchmark::State& state) {
-  RunHopFixpoint(state, /*compiled=*/true);
-}
 BENCHMARK(BM_KernelHop_Compiled)->Arg(10000)->Arg(100000);
-
-void BM_KernelHop_Legacy(benchmark::State& state) {
-  RunHopFixpoint(state, /*compiled=*/false);
-}
-BENCHMARK(BM_KernelHop_Legacy)->Arg(10000)->Arg(100000);
 
 // Variant-cache hit path: the per-round cost a compiled fixpoint pays to
 // re-ask for an already-lowered (rule, delta position, order) variant.

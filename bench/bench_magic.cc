@@ -101,8 +101,8 @@ BENCHMARK(BM_MagicRewrite)->Range(2, 64);
 
 void BM_IndexedJoin_MagicMidChain(benchmark::State& state) {
   // Magic query halfway down a large win/move graph: the evaluator walks
-  // n/2 positions, each probing m(X,Y) with X bound. The argument index
-  // turns every probe from an O(n) bucket scan into an O(out-degree)
+  // n/2 positions, each probing m(X,Y) with X bound. The key columns
+  // turn every probe from an O(n) bucket scan into an O(out-degree)
   // lookup, and the indexed EDB preload replaces the per-name bucket
   // append. 10k-100k edges.
   const int n = static_cast<int>(state.range(0));

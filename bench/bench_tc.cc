@@ -99,9 +99,9 @@ void BM_Maplist(benchmark::State& state) {
 BENCHMARK(BM_Maplist)->Range(4, 64);
 
 void BM_IndexedJoin_HopJoin(benchmark::State& state) {
-  // Two-hop join over a large chain EDB. Without the argument index every
+  // Two-hop join over a large chain EDB. Without the key columns every
   // e(Y,Z) probe scans all n facts of the e bucket (quadratic in n); the
-  // discrimination index resolves each probe to the single successor
+  // first-argument column resolves each probe to the single successor
   // edge, making the join linear — which is what lets this case run at
   // 10k-100k facts at all.
   const int n = static_cast<int>(state.range(0));

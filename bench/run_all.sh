@@ -21,9 +21,9 @@ trap 'rm -rf "$tmp_dir"' EXIT
 
 # Keep the committed baseline cheap: only workload sizes up to 3 digits,
 # plus the IndexedJoin/ColumnJoin cases (deliberately 10k-100k facts —
-# they exist to exercise the argument index and the columnar batch-join
-# path at scale and stay fast *because* of them). The 1M ColumnJoin
-# points stay out of the committed baseline.
+# they exist to exercise the key columns at scale and stay fast
+# *because* of them). The 1M ColumnJoin points stay out of the committed
+# baseline.
 default_filter='--benchmark_filter=(.*/[0-9]{1,3}$)|(IndexedJoin)|(ColumnJoin.*/10{4,5}$)'
 min_time='--benchmark_min_time=0.02'
 

@@ -15,9 +15,6 @@
 //                        anything else is wrapped as a query op. With
 //                        --query, sends that one query and exits.
 //   --deadline-ms <n>    client mode: deadline attached to wrapped queries
-//   --compile-rules on|off  rule compilation to join-kernel bytecode
-//                        (default on; off runs the legacy per-round loops —
-//                        answers are byte-identical either way)
 //   --explain-plan       batch: after loading, dump each rule's compiled
 //                        kernel program and exit
 //
@@ -372,16 +369,6 @@ int main(int argc, char** argv) {
       // 1 (the default) keeps evaluation fully sequential. Answers are
       // byte-identical at every setting.
       eval_threads = std::strtoull(take_value("--eval-threads"), nullptr, 10);
-    } else if (std::strcmp(arg, "--compile-rules") == 0) {
-      const char* value = take_value("--compile-rules");
-      if (std::strcmp(value, "on") == 0) {
-        hilog::SetRuleCompilationEnabled(true);
-      } else if (std::strcmp(value, "off") == 0) {
-        hilog::SetRuleCompilationEnabled(false);
-      } else {
-        std::fprintf(stderr, "--compile-rules wants on|off, got %s\n", value);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--explain-plan") == 0) {
       explain_plan = true;
     } else if (arg[0] == '-' && arg[1] != '\0') {

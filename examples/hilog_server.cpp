@@ -19,9 +19,6 @@
 //   --warm-wfs            pre-solve WFS in each worker on epoch change
 //                         (warms the scheduler cache; puts component
 //                         spans in the triggering request's trace)
-//   --compile-rules on|off  rule compilation to join-kernel bytecode
-//                         (default on; off runs the legacy per-round
-//                         loops — answers are byte-identical either way)
 //
 // Protocol: one JSON object per line in, one per line out — see
 // docs/service.md. Try it with:
@@ -94,16 +91,6 @@ int main(int argc, char** argv) {
           std::strtoull(take_value("--sample-interval-ms"), nullptr, 10);
     } else if (std::strcmp(arg, "--warm-wfs") == 0) {
       executor_options.warm_wfs = true;
-    } else if (std::strcmp(arg, "--compile-rules") == 0) {
-      const char* value = take_value("--compile-rules");
-      if (std::strcmp(value, "on") == 0) {
-        hilog::SetRuleCompilationEnabled(true);
-      } else if (std::strcmp(value, "off") == 0) {
-        hilog::SetRuleCompilationEnabled(false);
-      } else {
-        std::fprintf(stderr, "--compile-rules wants on|off, got %s\n", value);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--eval-threads") == 0) {
       // Worker-pool concurrency inside one evaluation (the scheduler's
       // component waves) — orthogonal to --threads, which is the number

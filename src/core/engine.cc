@@ -16,7 +16,6 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   // past the options struct it came from anyway).
   options_.bottomup.kernel_cache = &kernel_cache_;
   options_.magic.kernel_cache = &kernel_cache_;
-  options_.tabled.kernel_cache = &kernel_cache_;
 }
 
 std::unique_ptr<Engine> Engine::Fork() const {
@@ -65,9 +64,7 @@ std::string Engine::AppendProgram(std::string_view text, bool prewarm) {
   const size_t added_from = program_.size();
   for (Rule& rule : (*parsed).rules) program_.Add(std::move(rule));
   PatchSchedulerPlan({}, added_from);
-  if (prewarm && RuleCompilationEnabled()) {
-    kernel_cache_.Prewarm(store_, program_);
-  }
+  if (prewarm) kernel_cache_.Prewarm(store_, program_);
   obs::SetGauge(obs::Gauge::kProgramRules, program_.size());
   obs::SetGauge(obs::Gauge::kTermStoreSize, store_.size());
   return "";
@@ -132,7 +129,7 @@ std::string Engine::ApplyDelta(std::string_view additions,
   PatchSchedulerPlan(delta.retractions, added_from);
   // Only rules the delta introduced get front-end analysis here; the
   // structural cache already covers every survivor.
-  if (RuleCompilationEnabled()) kernel_cache_.Prewarm(store_, program_);
+  kernel_cache_.Prewarm(store_, program_);
   maintenance_pending_ = true;
   obs::Count(obs::Counter::kIncDeltasApplied);
   obs::SetGauge(obs::Gauge::kProgramRules, program_.size());

@@ -5,92 +5,31 @@
 
 #include "src/eval/cancel.h"
 #include "src/eval/kernel.h"
-#include "src/eval/plan.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/term/unify.h"
 
 namespace hilog {
 namespace {
 
-// Per-join-depth reusable candidate buffers for the batch probes: one
+// Per-join-depth reusable candidate buffers for the kernel's probes: one
 // scratch vector per body position, hoisted across rules and semi-naive
 // rounds so steady-state probing is allocation-free.
 using JoinScratch = std::vector<std::vector<TermId>>;
 
-// Recursively matches positive body literals [index..] against facts,
-// with literal `delta_pos` (if != SIZE_MAX) restricted to `delta`.
-// Backtracking uses the substitution's undo trail: matching binds only
-// fresh variables, so truncating to the mark restores the binding set
-// without rebuilding it per candidate.
-//
-// Candidates come from the columnar batch probe: the stored relation's
-// key column hashes as the build side, each substituted pattern as one
-// streamed probe. The delta side is frozen for the whole round (rounds
-// insert into `facts` and next_delta only), so its probes never copy;
-// `facts` is frozen only when the caller's callback provably does not
-// insert into it (`facts_frozen`). Non-frozen probes snapshot into
-// scratch[index], which deeper recursion levels never touch.
-bool MatchBody(TermStore& store, const std::vector<JoinStep>& steps,
-               size_t index, size_t delta_pos, const FactBase* delta,
-               const FactBase& facts, bool facts_frozen, JoinScratch* scratch,
-               Substitution* subst,
-               const std::function<bool(const Substitution&)>& fn) {
-  if (index == steps.size()) return fn(*subst);
-  const JoinStep& step = steps[index];
-  TermId pattern = subst->Apply(store, step.atom);
-  const bool is_delta = index == delta_pos && delta != nullptr;
-  const FactBase& source = is_delta ? *delta : facts;
-  const bool frozen = is_delta || facts_frozen;
-  const size_t baseline = source.NameBucketSize(store, pattern);
-  std::span<const TermId> candidates = source.CandidatesBatch(
-      store, pattern, &(*scratch)[index], frozen,
-      step.name_ground_at_probe ? &step.keys : nullptr);
-  if (baseline > candidates.size()) {
-    obs::Count(obs::Counter::kUnificationsAvoided,
-               baseline - candidates.size());
-  }
-  const size_t mark = subst->Mark();
-  for (TermId fact : candidates) {
-    if (MatchInto(store, pattern, fact, subst)) {
-      if (!MatchBody(store, steps, index + 1, delta_pos, delta, facts,
-                     facts_frozen, scratch, subst, fn)) {
-        subst->UndoTo(mark);
-        return false;
-      }
-      subst->UndoTo(mark);
-    }
-  }
-  return true;
+size_t CountPositive(const Rule& rule) {
+  size_t n = 0;
+  for (const Literal& lit : rule.body) n += lit.positive();
+  return n;
 }
 
-std::vector<TermId> PositiveAtoms(const Rule& rule) {
-  std::vector<TermId> atoms;
-  for (const Literal& lit : rule.body) {
-    if (lit.positive()) atoms.push_back(lit.atom);
-  }
-  return atoms;
-}
-
-// Relation-size estimate by FactBase name bucket — the one estimator
-// both the legacy planner and the kernel compiler see, so both plan the
-// same join orders.
+// Relation-size estimate by FactBase name bucket, the join planner's
+// input.
 JoinSizeEstimator BucketEstimator(const TermStore& store,
                                   const FactBase& facts) {
   return [&store, &facts](TermId atom) {
     TermId name = store.PredName(atom);
     return store.IsGround(name) ? facts.WithName(name).size() : facts.size();
   };
-}
-
-// Plans the join through the shared greedy planner (src/eval/plan.h),
-// estimating each atom's relation by its FactBase name bucket, and
-// derives the static columnar probe keys per step. The delta literal, if
-// any, is pinned first.
-JoinPlan PlanJoin(const TermStore& store, const std::vector<TermId>& atoms,
-                  const FactBase& facts, size_t delta_pos) {
-  return PlanBatchJoin(store, atoms, BucketEstimator(store, facts),
-                       delta_pos);
 }
 
 void EnsureScratch(JoinScratch* scratch, size_t depths) {
@@ -103,40 +42,23 @@ bool ForEachPositiveMatch(TermStore& store, const Rule& rule,
                           const FactBase& facts,
                           const std::function<bool(const Substitution&)>& fn,
                           bool frozen_facts, KernelCache* kernel_cache) {
-  // A rule with no positive body literals has exactly one (empty) match;
-  // compiling a Project+Emit program for it buys nothing, and fact-heavy
-  // programs call here once per fact during grounding.
-  bool has_positive = false;
-  for (const Literal& lit : rule.body) {
-    if (lit.positive()) {
-      has_positive = true;
-      break;
-    }
+  KernelContext ctx;
+  ctx.facts = &facts;
+  // Fact rules and fully ground bodies (fact-heavy programs call here
+  // once per fact during grounding) run uncompiled.
+  if (!WorthCompiling(store, rule)) {
+    return RunGroundBody(store, rule, ctx, SIZE_MAX, fn);
   }
-  if (!has_positive) {
-    Substitution subst;
-    return fn(subst);
-  }
-  if (RuleCompilationEnabled() && WorthCompiling(store, rule)) {
-    KernelCache transient;
-    KernelCache* cache = kernel_cache != nullptr ? kernel_cache : &transient;
-    std::shared_ptr<const KernelProgram> program =
-        cache->Get(store, rule, BucketEstimator(store, facts), SIZE_MAX);
-    JoinScratch scratch;
-    EnsureScratch(&scratch, program->scan_ops.size());
-    Substitution subst;
-    KernelContext ctx;
-    ctx.facts = &facts;
-    ctx.facts_frozen = frozen_facts;
-    ctx.scratch = &scratch;
-    return RunKernel(store, *program, ctx, &subst, fn);
-  }
-  JoinPlan plan = PlanJoin(store, PositiveAtoms(rule), facts, SIZE_MAX);
+  KernelCache transient;
+  KernelCache* cache = kernel_cache != nullptr ? kernel_cache : &transient;
+  std::shared_ptr<const KernelProgram> program =
+      cache->Get(store, rule, BucketEstimator(store, facts), SIZE_MAX);
   JoinScratch scratch;
-  EnsureScratch(&scratch, plan.steps.size());
+  EnsureScratch(&scratch, program->scan_ops.size());
   Substitution subst;
-  return MatchBody(store, plan.steps, 0, SIZE_MAX, nullptr, facts,
-                   frozen_facts, &scratch, &subst, fn);
+  ctx.facts_frozen = frozen_facts;
+  ctx.scratch = &scratch;
+  return RunKernel(store, *program, ctx, &subst, fn);
 }
 
 BottomUpResult LeastModelOfPositiveProjection(TermStore& store,
@@ -158,9 +80,11 @@ BottomUpResult LeastModelOfPositiveProjectionSeeded(
   for (TermId seed : seed_facts) {
     if (result.facts.Insert(store, seed)) delta.Insert(store, seed);
   }
+  std::vector<size_t> positives(program.rules.size());
   for (size_t r = 0; r < program.rules.size(); ++r) {
     const Rule& rule = program.rules[r];
-    if (!PositiveAtoms(rule).empty()) continue;
+    positives[r] = CountPositive(rule);
+    if (positives[r] != 0) continue;
     if (!store.IsGround(rule.head)) {
       unsafe.insert(r);
       continue;
@@ -173,11 +97,9 @@ BottomUpResult LeastModelOfPositiveProjectionSeeded(
 
   // The next-round delta and the join scratch buffers live outside the
   // round loop: Clear() keeps hash-map buckets and vector capacity, so
-  // steady-state rounds reallocate neither. The compilation switch is
-  // latched per run so a mid-run flip cannot mix paths.
+  // steady-state rounds reallocate neither.
   FactBase next_delta;
   JoinScratch scratch;
-  const bool compiled = RuleCompilationEnabled();
   KernelCache transient_cache;
   KernelCache* kcache = options.kernel_cache != nullptr
                             ? options.kernel_cache
@@ -185,16 +107,13 @@ BottomUpResult LeastModelOfPositiveProjectionSeeded(
   const JoinSizeEstimator estimate = BucketEstimator(store, result.facts);
   // Resolve each rule's structural cache entry once; rounds then pay only
   // the per-variant order check, not the rule hash and bucket scan. Rules
-  // not worth compiling (fully ground bodies) keep the legacy matcher.
-  std::vector<KernelCache::Handle> handles;
+  // not worth compiling (fully ground bodies) run uncompiled.
+  std::vector<KernelCache::Handle> handles(program.rules.size());
   std::vector<bool> use_kernel(program.rules.size(), false);
-  if (compiled) {
-    handles.resize(program.rules.size());
-    for (size_t r = 0; r < program.rules.size(); ++r) {
-      if (WorthCompiling(store, program.rules[r])) {
-        use_kernel[r] = true;
-        handles[r] = kcache->Resolve(store, program.rules[r]);
-      }
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    if (WorthCompiling(store, program.rules[r])) {
+      use_kernel[r] = true;
+      handles[r] = kcache->Resolve(store, program.rules[r]);
     }
   }
   while (!delta.empty()) {
@@ -213,10 +132,7 @@ BottomUpResult LeastModelOfPositiveProjectionSeeded(
     bool budget_hit = false;
     for (size_t r = 0; r < program.rules.size() && !budget_hit; ++r) {
       const Rule& rule = program.rules[r];
-      std::vector<TermId> atoms = PositiveAtoms(rule);
-      if (atoms.empty()) continue;
-      for (size_t dpos = 0; dpos < atoms.size() && !budget_hit; ++dpos) {
-        Substitution subst;
+      for (size_t dpos = 0; dpos < positives[r] && !budget_hit; ++dpos) {
         const auto derive = [&](const Substitution& theta) {
           if (CancelRequested()) {
             result.cancelled = true;
@@ -238,25 +154,22 @@ BottomUpResult LeastModelOfPositiveProjectionSeeded(
           }
           return true;
         };
-        if (compiled && use_kernel[r]) {
-          // Cached analysis + a replan per round (orders follow the live
-          // bucket sizes); the lowered ops hit the variant cache from
-          // the second round of the fixpoint on.
-          std::shared_ptr<const KernelProgram> program =
-              kcache->Get(store, handles[r], estimate, dpos);
-          EnsureScratch(&scratch, program->scan_ops.size());
-          KernelContext ctx;
-          ctx.facts = &result.facts;
-          ctx.delta = &delta;
-          ctx.scratch = &scratch;
-          RunKernel(store, *program, ctx, &subst, derive);
-        } else {
-          // The plan pins the delta literal first.
-          JoinPlan plan = PlanJoin(store, atoms, result.facts, dpos);
-          EnsureScratch(&scratch, plan.steps.size());
-          MatchBody(store, plan.steps, 0, 0, &delta, result.facts,
-                    /*facts_frozen=*/false, &scratch, &subst, derive);
+        KernelContext ctx;
+        ctx.facts = &result.facts;
+        ctx.delta = &delta;
+        if (!use_kernel[r]) {
+          RunGroundBody(store, rule, ctx, dpos, derive);
+          continue;
         }
+        // Cached analysis + a replan per round (orders follow the live
+        // bucket sizes); the lowered ops hit the variant cache from the
+        // second round of the fixpoint on.
+        std::shared_ptr<const KernelProgram> program =
+            kcache->Get(store, handles[r], estimate, dpos);
+        EnsureScratch(&scratch, program->scan_ops.size());
+        ctx.scratch = &scratch;
+        Substitution subst;
+        RunKernel(store, *program, ctx, &subst, derive);
       }
     }
     if (budget_hit) {

@@ -31,7 +31,7 @@ struct BottomUpOptions {
   /// Compilation cache for the rule-to-kernel path (src/eval/kernel.h),
   /// normally the owning Engine's. Null means each evaluation run uses a
   /// transient cache (programs still amortize across the run's rounds,
-  /// just not across runs). Ignored when rule compilation is disabled.
+  /// just not across runs).
   KernelCache* kernel_cache = nullptr;
 };
 
@@ -58,8 +58,9 @@ struct BottomUpResult {
 ///
 /// Evaluation is semi-naive: each round only considers rule firings that
 /// use at least one fact derived in the previous round. The delta is
-/// itself argument-indexed, and positive bodies are joined in an order
-/// chosen per rule by a greedy selectivity heuristic (docs/performance.md).
+/// itself a keyed FactBase, and positive bodies are joined by compiled
+/// kernels in an order chosen per rule by a greedy selectivity heuristic
+/// (docs/performance.md).
 BottomUpResult LeastModelOfPositiveProjection(TermStore& store,
                                               const Program& program,
                                               const BottomUpOptions& options);
@@ -86,9 +87,9 @@ BottomUpResult LeastModelOfPositiveProjectionSeeded(
 /// internal buckets. Callers whose callback feeds derived facts straight
 /// back into `facts` (the stratified fixpoint) must leave it false.
 ///
-/// With rule compilation enabled the join runs as a compiled kernel
-/// program; `kernel_cache` (usually the Engine's) keeps the compiled
-/// form across calls, a null cache compiles transiently.
+/// The join runs as a compiled kernel program (a fully ground body as
+/// plain membership probes); `kernel_cache` (usually the Engine's) keeps
+/// the compiled form across calls, a null cache compiles transiently.
 bool ForEachPositiveMatch(TermStore& store, const Rule& rule,
                           const FactBase& facts,
                           const std::function<bool(const Substitution&)>& fn,

@@ -6,7 +6,7 @@ namespace hilog {
 
 namespace cancel_internal {
 
-thread_local CancelToken* tl_token = nullptr;
+constinit thread_local CancelToken* tl_token = nullptr;
 
 namespace {
 // Per-thread countdown between deadline clock reads (CancelRequested).

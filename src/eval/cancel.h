@@ -59,8 +59,10 @@ class CancelToken {
 
 namespace cancel_internal {
 /// The thread's installed token; exposed only so CancelRequested() can
-/// inline its no-token fast path into the evaluator loops.
-extern thread_local CancelToken* tl_token;
+/// inline its no-token fast path into the evaluator loops. constinit
+/// makes every access a direct TLS load, not a call through the TLS init
+/// wrapper.
+extern constinit thread_local CancelToken* tl_token;
 }  // namespace cancel_internal
 
 /// The token installed for the current thread, or nullptr.

@@ -1,7 +1,6 @@
 #include "src/eval/fact_base.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "src/obs/metrics.h"
 
@@ -32,8 +31,6 @@ uint64_t Mix(uint64_t h) {
   return h;
 }
 
-std::atomic<bool> g_batch_joins_enabled{true};
-
 }  // namespace
 
 // Exact fingerprint of a ground term: terms are hash-consed, so TermId
@@ -51,48 +48,16 @@ uint64_t ShapeFingerprint(TermId name, size_t arity) {
   return h == 0 ? 1 : h;
 }
 
-uint64_t ArgFingerprint(const TermStore& store, TermId t) {
-  // A ground pattern argument matches only the identical fact argument:
-  // use the exact fingerprint. This is what keeps discrimination sharp
-  // when many facts share an argument *shape* — e.g. the universal
-  // call/u_i encoding, where every wrapped predicate is u_k(p) and only
-  // the inner symbol tells them apart.
-  if (store.IsGround(t)) return ExactFingerprint(t);
-  // A non-ground application whose name is ground still constrains any
-  // matching fact argument to the same (name, arity) shape.
-  if (store.kind(t) == TermKind::kApply &&
-      store.IsGround(store.apply_name(t))) {
-    return ShapeFingerprint(store.apply_name(t), store.arity(t));
-  }
-  // A variable (or an application under a variable name) matches
-  // anything: no fingerprint.
-  return 0;
-}
-
 const std::vector<TermId> FactBase::kEmpty;
-
-void FactBase::SetBatchJoinsEnabled(bool enabled) {
-  g_batch_joins_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool FactBase::BatchJoinsEnabled() {
-  return g_batch_joins_enabled.load(std::memory_order_relaxed);
-}
 
 bool FactBase::Insert(const TermStore& store, TermId atom) {
   auto [it, inserted] = facts_.insert(atom);
   if (!inserted) return false;
   ordered_.push_back(atom);
+  // Key columns keep their own per-column watermark: they catch up to
+  // the bucket on the next probe that wants them, so an insert never
+  // pays for columns nobody queries.
   by_name_[store.PredName(atom)].push_back(atom);
-  // Keep the argument index current only once a probe has built it; until
-  // then inserts stay a single bucket push (see EnsureArgIndex). Key
-  // columns follow the same discipline with their own per-column
-  // watermark: they catch up to the bucket on the next probe that wants
-  // them, so an insert never pays for columns nobody queries.
-  if (arg_index_active_) {
-    IndexArgsOf(store, atom, store.PredName(atom));
-    ++indexed_upto_;
-  }
   return true;
 }
 
@@ -124,46 +89,7 @@ size_t FactBase::EraseBatch(const TermStore& store,
     // relation (they rebuild lazily on the next probe).
     columnar_.erase(name);
   }
-  // The legacy argument index is maintained per insert with no per-name
-  // partitioning worth exploiting here; drop it wholesale.
-  by_arg_.clear();
-  arg_index_active_ = false;
-  indexed_upto_ = 0;
   return erased;
-}
-
-void FactBase::IndexArgsOf(const TermStore& store, TermId atom,
-                           TermId name) const {
-  if (!store.IsApply(atom)) return;
-  auto args = store.apply_args(atom);
-  for (size_t pos = 0; pos < args.size() && pos < kMaxIndexedArgs; ++pos) {
-    // Fact arguments are ground: index under the exact fingerprint, and
-    // for applications also under the (name, arity) shape so partially
-    // instantiated pattern arguments like h(X) can still probe, plus
-    // one level of sub-arguments so patterns whose bindings sit inside
-    // a compound argument (u3(e,X,Y) and friends) discriminate too.
-    TermId arg = args[pos];
-    by_arg_[ArgKey{name, ColTopPath(pos), ExactFingerprint(arg)}].push_back(
-        atom);
-    if (store.IsApply(arg)) {
-      uint64_t shape =
-          ShapeFingerprint(store.apply_name(arg), store.arity(arg));
-      by_arg_[ArgKey{name, ColTopPath(pos), shape}].push_back(atom);
-      auto sub = store.apply_args(arg);
-      for (size_t j = 0; j < sub.size() && j < kMaxIndexedSubArgs; ++j) {
-        by_arg_[ArgKey{name, ColSubPath(pos, j), ExactFingerprint(sub[j])}]
-            .push_back(atom);
-      }
-    }
-  }
-}
-
-void FactBase::EnsureArgIndex(const TermStore& store) const {
-  arg_index_active_ = true;
-  for (; indexed_upto_ < ordered_.size(); ++indexed_upto_) {
-    TermId atom = ordered_[indexed_upto_];
-    IndexArgsOf(store, atom, store.PredName(atom));
-  }
 }
 
 const std::vector<TermId>& FactBase::WithName(TermId name) const {
@@ -175,109 +101,6 @@ size_t FactBase::NameBucketSize(const TermStore& store,
                                 TermId literal_atom) const {
   TermId name = store.PredName(literal_atom);
   return store.IsGround(name) ? WithName(name).size() : ordered_.size();
-}
-
-std::vector<TermId> FactBase::Candidates(const TermStore& store,
-                                         TermId literal_atom) const {
-  TermId name = store.PredName(literal_atom);
-  // A variable predicate name can match any fact: full scan, exactly the
-  // semantics HiLog's higher-order joins rely on.
-  if (!store.IsGround(name)) return ordered_;
-  auto bucket_it = by_name_.find(name);
-  if (bucket_it == by_name_.end()) return {};
-  const std::vector<TermId>& bucket = bucket_it->second;
-  if (store.IsGround(literal_atom)) {
-    // A ground pattern matches exactly itself: one membership check.
-    obs::Count(obs::Counter::kIndexProbes);
-    if (facts_.count(literal_atom) > 0) {
-      obs::Count(obs::Counter::kCandidatesPruned, bucket.size() - 1);
-      return {literal_atom};
-    }
-    obs::Count(obs::Counter::kCandidatesPruned, bucket.size());
-    return {};
-  }
-  if (bucket.size() <= kSmallBucket || !store.IsApply(literal_atom)) {
-    return bucket;
-  }
-  auto args = store.apply_args(literal_atom);
-  // Only touch (and thereby lazily build) the argument index when at
-  // least one pattern argument can actually probe it; an all-variable
-  // pattern like m(X,Y) discriminates nothing.
-  bool can_probe = false;
-  for (size_t pos = 0; pos < args.size() && pos < kMaxIndexedArgs; ++pos) {
-    TermId arg = args[pos];
-    if (store.IsGround(arg) || (store.kind(arg) == TermKind::kApply &&
-                                store.IsGround(store.apply_name(arg)))) {
-      can_probe = true;
-      break;
-    }
-  }
-  if (!can_probe) return bucket;
-  EnsureArgIndex(store);
-  // Probe every indexable argument path whose fingerprint is defined. A
-  // probe miss is a proof of emptiness: no fact agrees with that bound
-  // (sub-)argument, so nothing can match.
-  std::vector<const std::vector<TermId>*> hits;
-  bool missed = false;
-  auto probe = [&](uint32_t path, uint64_t fp) {
-    obs::Count(obs::Counter::kIndexProbes);
-    auto it = by_arg_.find(ArgKey{name, path, fp});
-    if (it == by_arg_.end()) {
-      missed = true;
-      return;
-    }
-    hits.push_back(&it->second);
-  };
-  for (size_t pos = 0; pos < args.size() && pos < kMaxIndexedArgs && !missed;
-       ++pos) {
-    TermId arg = args[pos];
-    if (store.IsGround(arg)) {
-      probe(ColTopPath(pos), ExactFingerprint(arg));
-      continue;
-    }
-    if (store.kind(arg) != TermKind::kApply ||
-        !store.IsGround(store.apply_name(arg))) {
-      continue;  // A variable (or variable-named application): no probe.
-    }
-    probe(ColTopPath(pos),
-          ShapeFingerprint(store.apply_name(arg), store.arity(arg)));
-    // The compound argument is partially bound: its ground sub-arguments
-    // still discriminate (facts index one sub-level under exact keys).
-    auto sub = store.apply_args(arg);
-    for (size_t j = 0; j < sub.size() && j < kMaxIndexedSubArgs && !missed;
-         ++j) {
-      if (store.IsGround(sub[j])) probe(ColSubPath(pos, j),
-                                        ExactFingerprint(sub[j]));
-    }
-  }
-  if (missed) {
-    obs::Count(obs::Counter::kCandidatesPruned, bucket.size());
-    return {};
-  }
-  if (hits.empty()) return bucket;
-  std::stable_sort(hits.begin(), hits.end(),
-                   [](const std::vector<TermId>* a,
-                      const std::vector<TermId>* b) {
-                     return a->size() < b->size();
-                   });
-  std::vector<TermId> out;
-  if (hits.size() >= 2 && hits[0]->size() > kIntersectThreshold &&
-      hits[1]->size() * 2 <= bucket.size()) {
-    // Intersect only when the second bucket excludes at least half the
-    // name bucket; hashing a near-full bucket costs more than letting
-    // the downstream match reject the few extra candidates.
-    // Intersect the two most selective positions, preserving the most
-    // selective bucket's (insertion) order.
-    std::unordered_set<TermId> filter(hits[1]->begin(), hits[1]->end());
-    out.reserve(hits[0]->size());
-    for (TermId fact : *hits[0]) {
-      if (filter.count(fact) > 0) out.push_back(fact);
-    }
-  } else {
-    out = *hits[0];
-  }
-  obs::Count(obs::Counter::kCandidatesPruned, bucket.size() - out.size());
-  return out;
 }
 
 // --- Columnar key columns -------------------------------------------------
@@ -356,7 +179,7 @@ void FactBase::KeyColumn::ExtendTo(const TermStore& store,
     // Rows that lack the path (symbol atoms in an apply bucket, short
     // arities, symbol arguments under a shape or sub-path key) keep
     // fingerprint 0 and join no group: a probe can never select them,
-    // which is exactly the legacy index's behaviour.
+    // and no pattern with a key on that path could match them.
     if (store.IsApply(atom)) {
       auto args = store.apply_args(atom);
       if (top < args.size()) {
@@ -403,13 +226,10 @@ FactBase::KeyColumn& FactBase::EnsureColumn(const TermStore& store,
   return col;
 }
 
-std::span<const TermId> FactBase::CandidatesBatch(
-    const TermStore& store, TermId literal_atom, std::vector<TermId>* scratch,
-    bool frozen, const std::vector<ColumnProbeKey>* static_keys) const {
-  if (!BatchJoinsEnabled()) {
-    *scratch = Candidates(store, literal_atom);
-    return *scratch;
-  }
+std::span<const TermId> FactBase::CandidatesBatch(const TermStore& store,
+                                                  TermId literal_atom,
+                                                  std::vector<TermId>* scratch,
+                                                  bool frozen) const {
   TermId name = store.PredName(literal_atom);
   // A variable predicate name can match any fact: full scan, exactly the
   // semantics HiLog's higher-order joins rely on. No column helps here.
@@ -449,56 +269,28 @@ std::span<const TermId> FactBase::CandidatesBatch(
     return bucket_fallback();
   }
 
-  // Assemble the runtime probe keys: (path, fingerprint) pairs computed
-  // from the substituted pattern. With a static plan the paths come
-  // pre-proven from the planner's boundness analysis; otherwise they are
-  // detected from the pattern, mirroring the legacy probe exactly.
+  // Assemble the runtime probe keys, (path, fingerprint) pairs, from
+  // every argument path the pattern binds.
   ColumnRuntimeKey keys[kMaxProbeKeys];
   size_t nkeys = 0;
   auto args = store.apply_args(literal_atom);
-  if (static_keys != nullptr) {
-    for (const ColumnProbeKey& k : *static_keys) {
-      const size_t top = ColPathTop(k.path);
-      if (top >= args.size()) continue;
-      TermId arg = args[top];
-      const uint32_t sub = ColPathSub(k.path);
-      if (sub == 0) {
-        if (k.shape) {
-          if (!store.IsApply(arg)) continue;
-          keys[nkeys++] = {k.path, true,
-                           ShapeFingerprint(store.apply_name(arg),
-                                            store.arity(arg))};
-        } else {
-          keys[nkeys++] = {k.path, false, ExactFingerprint(arg)};
-        }
-      } else if (store.IsApply(arg)) {
-        auto subargs = store.apply_args(arg);
-        size_t j = sub - 1;
-        if (j < subargs.size()) {
-          keys[nkeys++] = {k.path, false, ExactFingerprint(subargs[j])};
-        }
-      }
+  for (size_t pos = 0; pos < args.size() && pos < kMaxIndexedArgs; ++pos) {
+    TermId arg = args[pos];
+    if (store.IsGround(arg)) {
+      keys[nkeys++] = {ColTopPath(pos), false, ExactFingerprint(arg)};
+      continue;
     }
-  } else {
-    for (size_t pos = 0; pos < args.size() && pos < kMaxIndexedArgs; ++pos) {
-      TermId arg = args[pos];
-      if (store.IsGround(arg)) {
-        keys[nkeys++] = {ColTopPath(pos), false, ExactFingerprint(arg)};
-        continue;
-      }
-      if (store.kind(arg) != TermKind::kApply ||
-          !store.IsGround(store.apply_name(arg))) {
-        continue;  // A variable (or variable-named application): no probe.
-      }
-      keys[nkeys++] = {ColTopPath(pos), true,
-                       ShapeFingerprint(store.apply_name(arg),
-                                        store.arity(arg))};
-      auto sub = store.apply_args(arg);
-      for (size_t j = 0; j < sub.size() && j < kMaxIndexedSubArgs; ++j) {
-        if (store.IsGround(sub[j])) {
-          keys[nkeys++] = {ColSubPath(pos, j), false,
-                           ExactFingerprint(sub[j])};
-        }
+    if (store.kind(arg) != TermKind::kApply ||
+        !store.IsGround(store.apply_name(arg))) {
+      continue;  // A variable (or variable-named application): no probe.
+    }
+    keys[nkeys++] = {ColTopPath(pos), true,
+                     ShapeFingerprint(store.apply_name(arg),
+                                      store.arity(arg))};
+    auto sub = store.apply_args(arg);
+    for (size_t j = 0; j < sub.size() && j < kMaxIndexedSubArgs; ++j) {
+      if (store.IsGround(sub[j])) {
+        keys[nkeys++] = {ColSubPath(pos, j), false, ExactFingerprint(sub[j])};
       }
     }
   }
@@ -617,9 +409,6 @@ void FactBase::Clear() {
   facts_.clear();
   ordered_.clear();
   by_name_.clear();
-  by_arg_.clear();
-  arg_index_active_ = false;
-  indexed_upto_ = 0;
   columnar_.clear();
 }
 

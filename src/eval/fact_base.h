@@ -11,29 +11,17 @@
 
 namespace hilog {
 
-/// 64-bit discrimination fingerprint of a pattern argument: ground terms
-/// fingerprint exactly (hash-consing makes the term id a perfect key),
-/// non-ground applications with a ground name fingerprint by their
-/// (name, arity) shape. Returns 0 when the term cannot discriminate (a
-/// variable, or an application whose name still contains variables); 0 is
-/// never a valid fingerprint. The invariant the index relies on: if a
-/// pattern argument with a non-zero fingerprint matches (one-way or via
-/// unification against a ground fact) some fact argument, the fact
-/// argument was indexed under that fingerprint (facts index each
-/// application argument under both its exact and its shape key).
-uint64_t ArgFingerprint(const TermStore& store, TermId t);
-
 /// Exact fingerprint of a ground term (the term id is a perfect key) and
 /// the (name, arity) shape fingerprint of an application. The two seed
-/// families never collide; neither is ever 0. Exported so the planner's
-/// batch-join path can compute runtime keys for its statically chosen
-/// argument paths (see ColumnProbeKey).
+/// families never collide; neither is ever 0. Exported so the kernel
+/// compiler can precompute constant keys and the executor can fingerprint
+/// register-resolved terms (see ColumnProbeKey).
 uint64_t ExactFingerprint(TermId t);
 uint64_t ShapeFingerprint(TermId name, size_t arity);
 
-/// Argument path codes shared by the legacy argument index and the
-/// columnar key columns: a top-level position i, or sub-position j inside
-/// the compound argument at position i (one nesting level).
+/// Argument path codes of the columnar key columns: a top-level position
+/// i, or sub-position j inside the compound argument at position i (one
+/// nesting level).
 inline constexpr uint32_t ColTopPath(size_t i) {
   return static_cast<uint32_t>(i) << 4;
 }
@@ -55,45 +43,38 @@ struct ColumnProbeKey {
 };
 
 /// A probe key with its runtime fingerprint already computed: what
-/// CandidatesBatch assembles internally from the substituted pattern, and
-/// what the kernel executor (src/eval/kernel.h) computes straight from
-/// its register file — skipping the pattern substitution entirely — to
-/// probe through ProbeWithKeys.
+/// CandidatesBatch assembles internally from a pattern, and what the
+/// kernel executor (src/eval/kernel.h) computes straight from its
+/// register file — skipping the pattern substitution entirely — to probe
+/// through ProbeWithKeys.
 struct ColumnRuntimeKey {
   uint32_t path = 0;
   bool shape = false;
   uint64_t fp = 0;
 };
 
-/// A set of ground atoms with a two-level index supporting the
-/// unification-joins of bottom-up evaluation:
+/// A set of ground atoms indexed for the unification joins of bottom-up
+/// evaluation at two levels:
 ///
 ///  1. the atom's full predicate name (HiLog names may be compound, e.g.
 ///     winning(move1), so the key is a term id, not a symbol), and
-///  2. a WAM-style argument-discrimination index keyed on
-///     (name, argument path, argument fingerprint) for the first
-///     kMaxIndexedArgs positions — where a path is either a top-level
-///     position or one sub-position inside a compound argument. The
-///     sub-positions matter for encodings that bury the joining terms one
-///     level down, e.g. the universal call/u_i encoding's call(u3(e,X,Y)),
-///     where only the sub-arguments of u3(...) discriminate anything.
+///  2. per relation (name bucket), lazily built key columns over argument
+///     paths: the first kMaxIndexedArgs top-level positions and one
+///     sub-position level inside compound arguments. The sub-positions
+///     matter for encodings that bury the joining terms one level down,
+///     e.g. the universal call/u_i encoding's call(u3(e,X,Y)), where only
+///     the sub-arguments of u3(...) discriminate anything.
 ///
-/// `Candidates` probes the most selective ground argument positions of a
-/// query pattern and degrades gracefully: a fully ground pattern is an
-/// O(1) membership check, a pattern with no indexable arguments falls
-/// back to the per-name bucket, and a literal whose name is still a
-/// variable scans the whole base (preserving HiLog's variable-predicate
-/// semantics).
-///
-/// `CandidatesBatch` is the columnar fast path the evaluators join
-/// through: per-relation flat key columns with a prebuilt fingerprint
-/// hash, probed in O(1) per binding and answered as spans over grouped
-/// row arrays instead of freshly materialized vectors (see the class
-/// comment on KeyColumn below).
+/// Probes degrade gracefully: a fully ground pattern is an O(1)
+/// membership check, a pattern with no keyed arguments falls back to the
+/// per-name bucket, and a literal whose name is still a variable scans
+/// the whole base (preserving HiLog's variable-predicate semantics).
+/// Candidates come back as spans over grouped row arrays in insertion
+/// order (see the class comment on KeyColumn below).
 class FactBase {
  public:
-  /// Argument positions covered by the discrimination index; facts with
-  /// higher arity are still indexed on their first kMaxIndexedArgs args.
+  /// Argument positions covered by the key columns; facts with higher
+  /// arity are still keyed on their first kMaxIndexedArgs args.
   static constexpr size_t kMaxIndexedArgs = 4;
 
   /// Sub-positions indexed inside each compound argument (one nesting
@@ -106,17 +87,16 @@ class FactBase {
   bool Insert(const TermStore& store, TermId atom);
 
   /// Erases a ground atom; returns true if it was present. Equivalent to
-  /// EraseBatch({atom}) — see there for the index/column consequences.
+  /// EraseBatch({atom}) — see there for the key-column consequences.
   bool Erase(const TermStore& store, TermId atom);
 
   /// Erases a batch of ground atoms, returning how many were present.
   /// Insertion order of the survivors is preserved (erased rows are
   /// tombstoned and compacted out in one pass), so a later full scan or
   /// probe sees exactly the order a fresh base built from the survivors
-  /// would have. The legacy argument index is invalidated wholesale and
-  /// the key columns of every touched relation are dropped: both assume
-  /// append-only buckets (per-insert maintenance / watermark catch-up),
-  /// and rebuilding lazily on the next probe is cheaper than surgically
+  /// would have. The key columns of every touched relation are dropped:
+  /// they assume append-only buckets (watermark catch-up), and
+  /// rebuilding lazily on the next probe is cheaper than surgically
   /// rewriting row groups.
   size_t EraseBatch(const TermStore& store, const std::vector<TermId>& atoms);
 
@@ -132,19 +112,12 @@ class FactBase {
   const std::vector<TermId>& WithName(TermId name) const;
 
   /// Candidate facts for joining against `literal_atom`: a superset of
-  /// the facts the pattern matches, pruned by the most selective indexed
-  /// argument positions. Returned by value: the result is a snapshot, so
-  /// callers may insert facts while iterating it. This is the legacy
-  /// tuple-at-a-time path; the evaluators join through CandidatesBatch.
-  std::vector<TermId> Candidates(const TermStore& store,
-                                 TermId literal_atom) const;
-
-  /// Columnar batch-join candidate probe. Produces the same candidate
-  /// *match* semantics as Candidates — a superset of the pattern's
-  /// matches, in fact insertion order, with probe misses proving
-  /// emptiness — but answers from per-relation key columns whose
-  /// fingerprint hash is built once and streamed through, instead of
-  /// materializing a fresh vector per probe.
+  /// the facts the pattern matches, in fact insertion order, with probe
+  /// misses proving emptiness. Answers from per-relation key columns
+  /// whose fingerprint hash is built once and streamed through; the keys
+  /// are every argument path of the pattern that is ground (exact key)
+  /// or a compound with a ground name (shape key, plus exact keys for its
+  /// ground sub-arguments).
   ///
   /// Contract:
   ///  - `frozen == false` (the caller may Insert while iterating): the
@@ -153,20 +126,14 @@ class FactBase {
   ///    scratch vector per join depth makes the probe allocation-free
   ///    after warmup.
   ///  - `frozen == true` (the caller provably does not mutate this base
-  ///    while iterating — the semi-naive delta side, the grounder): the
-  ///    span may alias internal storage (e.g. the whole per-name bucket
-  ///    when no argument discriminates), skipping the defensive copy
-  ///    entirely. `*scratch` may still be used as backing storage.
-  ///  - `static_keys`, if non-null, is the planner's proof of which
-  ///    argument paths of `literal_atom` are ground at probe time
-  ///    (PlanBatchJoin); runtime fingerprints are computed from the
-  ///    substituted pattern. When null the paths are detected from the
-  ///    pattern dynamically, which is how pre-substituted probes (the
-  ///    magic evaluator, tabling) use the same kernels.
-  std::span<const TermId> CandidatesBatch(
-      const TermStore& store, TermId literal_atom,
-      std::vector<TermId>* scratch, bool frozen,
-      const std::vector<ColumnProbeKey>* static_keys = nullptr) const;
+  ///    while iterating): the span may alias internal storage (e.g. the
+  ///    whole per-name bucket when no argument discriminates), skipping
+  ///    the defensive copy entirely. `*scratch` may still be used as
+  ///    backing storage.
+  std::span<const TermId> CandidatesBatch(const TermStore& store,
+                                          TermId literal_atom,
+                                          std::vector<TermId>* scratch,
+                                          bool frozen) const;
 
   /// The columnar probe core of CandidatesBatch, callable with
   /// pre-computed runtime keys: `name` is the pattern's (ground) predicate
@@ -184,48 +151,23 @@ class FactBase {
                                         std::vector<TermId>* scratch,
                                         bool frozen) const;
 
-  /// Size of the candidate list the pre-index evaluator would have
-  /// scanned for this pattern: the name bucket for a ground name, the
-  /// whole base otherwise. Used to account unifications avoided.
+  /// Size of the candidate list an unindexed scan would walk for this
+  /// pattern: the name bucket for a ground name, the whole base
+  /// otherwise. Used to account unifications avoided.
   size_t NameBucketSize(const TermStore& store, TermId literal_atom) const;
 
   void Clear();
 
-  /// Process-wide switch for the columnar batch path; when disabled,
-  /// CandidatesBatch answers through the legacy tuple-at-a-time
-  /// Candidates (snapshotting into `scratch`). The equivalence suites
-  /// flip this to compare both paths end to end.
-  static void SetBatchJoinsEnabled(bool enabled);
-  static bool BatchJoinsEnabled();
-
  private:
-  struct ArgKey {
-    TermId name;
-    uint32_t path;  // ColTopPath(i) or ColSubPath(i, j).
-    uint64_t fingerprint;
-    bool operator==(const ArgKey& o) const {
-      return name == o.name && path == o.path && fingerprint == o.fingerprint;
-    }
-  };
-  struct ArgKeyHash {
-    size_t operator()(const ArgKey& k) const {
-      uint64_t h = k.fingerprint ^ (uint64_t{k.name} << 32 | k.path);
-      h ^= h >> 33;
-      h *= 0xff51afd7ed558ccdULL;
-      h ^= h >> 33;
-      return static_cast<size_t>(h);
-    }
-  };
-
   /// One key column of a relation (a per-name bucket): the extracted
   /// sub-term and its fingerprint for every row, flat and row-aligned
   /// with the bucket, plus an open-addressed hash from fingerprint to a
   /// group of ascending row indices. Groups preserve insertion order, so
-  /// a probe answers with candidates in exactly the order the legacy
-  /// index would have produced — which is what keeps every evaluator's
-  /// output byte-identical across the two paths. Built lazily per
-  /// (path, kind) on the first probe that wants it and caught up to the
-  /// bucket watermark on later probes (amortized O(1) per insert).
+  /// a probe answers with candidates in fact insertion order — which is
+  /// what keeps every evaluator's output order independent of which keys
+  /// a probe used. Built lazily per (path, kind) on the first probe that
+  /// wants it and caught up to the bucket watermark on later probes
+  /// (amortized O(1) per insert).
   struct KeyColumn {
     uint32_t path = 0;
     bool shape = false;
@@ -248,14 +190,6 @@ class FactBase {
     std::vector<KeyColumn> cols;  // Tiny: linear scan by (path, kind).
   };
 
-  // Catches the argument index up to `ordered_`. The index is built
-  // lazily on the first Candidates probe that wants it: many stores (the
-  // grounder's scratch bases, per-stratum intermediates) are filled once
-  // and scanned a handful of times, and for those the per-insert index
-  // maintenance would cost more than every scan it could save.
-  void EnsureArgIndex(const TermStore& store) const;
-  void IndexArgsOf(const TermStore& store, TermId atom, TermId name) const;
-
   KeyColumn& EnsureColumn(const TermStore& store, TermId name,
                           const std::vector<TermId>& bucket, uint32_t path,
                           bool shape) const;
@@ -272,11 +206,7 @@ class FactBase {
   std::unordered_set<TermId> facts_;
   std::vector<TermId> ordered_;
   std::unordered_map<TermId, std::vector<TermId>> by_name_;
-  mutable std::unordered_map<ArgKey, std::vector<TermId>, ArgKeyHash> by_arg_;
-  mutable bool arg_index_active_ = false;
-  mutable size_t indexed_upto_ = 0;  // ordered_ prefix already in by_arg_.
-  // Columnar key columns per relation, independent of the legacy by_arg_
-  // index (when the batch path is on, by_arg_ is typically never built).
+  // Key columns per relation, built lazily by probes.
   mutable std::unordered_map<TermId, ColumnTable> columnar_;
   static const std::vector<TermId> kEmpty;
 };

@@ -1,7 +1,6 @@
 #include "src/eval/kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <unordered_set>
 
@@ -11,8 +10,6 @@
 
 namespace hilog {
 namespace {
-
-std::atomic<bool> g_compile_rules{true};
 
 // An op probes at most every indexable top path plus every indexable
 // sub path under each (same bound CandidatesBatch's key array uses).
@@ -55,14 +52,6 @@ KernelSrc ClassifySrc(const TermStore& store, TermId t) {
 
 }  // namespace
 
-void SetRuleCompilationEnabled(bool enabled) {
-  g_compile_rules.store(enabled, std::memory_order_relaxed);
-}
-
-bool RuleCompilationEnabled() {
-  return g_compile_rules.load(std::memory_order_relaxed);
-}
-
 bool WorthCompiling(const TermStore& store, const Rule& rule) {
   for (const Literal& lit : rule.body) {
     if (lit.positive() && !store.IsGround(lit.atom)) return true;
@@ -78,8 +67,8 @@ namespace {
 // Lowers one planner probe key into its register-addressed form. The
 // paths are in range for the atom by DeriveProbeKeys's construction, and
 // substitution preserves the structure the paths address (argument
-// count, compound-ness of keyed compound args), so the executor never
-// needs the legacy runtime path guards.
+// count, compound-ness of keyed compound args), so the executor needs no
+// runtime path guards.
 KernelKey LowerKey(const TermStore& store, TermId atom,
                    const ColumnProbeKey& key) {
   KernelKey out;
@@ -265,9 +254,8 @@ std::shared_ptr<const KernelProgram> KernelCache::GetLocked(
     TermStore& store, RuleEntry* entry, const JoinSizeEstimator& estimate,
     size_t delta_pos) {
   const size_t n = entry->pos_atoms.size();
-  // Replicates PlanJoinOrder's trivial-order shortcut, estimator
-  // untouched (byte-identity: the legacy planner never consults the
-  // estimator for these shapes either).
+  // With at most one free atom there is nothing to reorder beyond the
+  // pin, and the estimator is never consulted.
   std::vector<size_t> order;
   order.reserve(n);
   if (n <= (delta_pos == SIZE_MAX ? size_t{1} : size_t{2})) {
@@ -280,18 +268,9 @@ std::shared_ptr<const KernelProgram> KernelCache::GetLocked(
     for (size_t i = 0; i < n; ++i) {
       est_sizes[i] = estimate(entry->pos_atoms[i]);
     }
-    order = PlanJoinOrderFromInfo(entry->info, est_sizes, delta_pos);
+    order = PlanJoinOrder(entry->info, est_sizes, delta_pos);
   }
   return GetWithOrder(store, entry, std::move(order), delta_pos);
-}
-
-std::shared_ptr<const KernelProgram> KernelCache::GetTextual(
-    TermStore& store, const Rule& rule) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RuleEntry* entry = FindOrCreate(store, rule);
-  std::vector<size_t> order(entry->pos_atoms.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  return GetWithOrder(store, entry, std::move(order), SIZE_MAX);
 }
 
 void KernelCache::Prewarm(TermStore& store, const Program& program) {
@@ -334,10 +313,40 @@ size_t KernelCache::size() const {
 
 namespace {
 
-// One program run. Mirrors the legacy MatchBody recursion step for step;
-// every counter difference from the legacy path would show up in the
-// metrics equivalence suites, so each case below documents which legacy
-// branch it replicates.
+// The kSelectEq step: `atom` is ground, so it matches exactly itself.
+// One membership probe, accounted as a candidate probe that returned the
+// single hit (or nothing) out of the name bucket, plus the one trivial
+// match a candidate walk would make — without making it. A missing
+// bucket counts nothing.
+bool SelectEq(const TermStore& store, const FactBase& source, TermId atom) {
+  const std::vector<TermId>& bucket = source.WithName(store.PredName(atom));
+  if (bucket.empty()) return false;
+  obs::Count(obs::Counter::kIndexProbes);
+  const size_t baseline = bucket.size();
+  if (!source.Contains(atom)) {
+    obs::Count(obs::Counter::kCandidatesPruned, baseline);
+    obs::Count(obs::Counter::kUnificationsAvoided, baseline);
+    return false;
+  }
+  obs::Count(obs::Counter::kCandidatesPruned, baseline - 1);
+  if (baseline > 1) {
+    obs::Count(obs::Counter::kUnificationsAvoided, baseline - 1);
+  }
+  obs::Count(obs::Counter::kMatchCalls);
+  return true;
+}
+
+// The kNegProbe check for one negative literal under `subst`: false when
+// the instance is non-ground (the firing is skipped) or settled true in
+// `neg` (the firing is blocked).
+bool NegProbePasses(TermStore& store, const FactBase& neg, TermId atom,
+                    const Substitution& subst) {
+  TermId instance = subst.Apply(store, atom);
+  return store.IsGround(instance) && !neg.Contains(instance);
+}
+
+// One program run: a recursion over the join steps, each enumerating its
+// candidates and matching them into the substitution's trail.
 struct KernelExec {
   TermStore& store;
   const KernelProgram& p;
@@ -358,10 +367,8 @@ struct KernelExec {
     return t;
   }
 
-  // Negative probes, then the emit. Matches the stratified fixpoint's
-  // in-callback checks: textual order; an atom left non-ground by theta
-  // skips the firing, a settled atom blocks it — either way the
-  // enumeration continues with the next candidate.
+  // Negative probes in textual order, then the emit. A failed probe
+  // skips the firing; the enumeration continues with the next candidate.
   bool Tail() {
     for (size_t i = p.tail_begin; i < p.ops.size(); ++i) {
       const KernelOp& op = p.ops[i];
@@ -369,9 +376,7 @@ struct KernelExec {
         case KernelOpCode::kNegProbe: {
           if (ctx.neg == nullptr) break;
           ++ops_executed;
-          TermId atom = subst->Apply(store, op.atom);
-          if (!store.IsGround(atom)) return true;
-          if (ctx.neg->Contains(atom)) return true;
+          if (!NegProbePasses(store, *ctx.neg, op.atom, *subst)) return true;
           break;
         }
         case KernelOpCode::kEmit:
@@ -386,8 +391,8 @@ struct KernelExec {
 
   // Enumerates candidates for join step `si` and recurses. The
   // per-candidate match walks the original atom against the fact,
-  // dereferencing bound variables on the fly (MatchResolvedInto) — what
-  // the legacy loop achieved by interning the substituted pattern first.
+  // dereferencing bound variables on the fly (MatchResolvedInto) instead
+  // of interning the substituted pattern first.
   bool Step(size_t si) {
     if (si == p.scan_ops.size()) return Tail();
     const KernelOp& op = p.ops[p.scan_ops[si]];
@@ -397,48 +402,17 @@ struct KernelExec {
     const bool frozen = is_delta || ctx.facts_frozen;
     std::vector<TermId>* scratch = &(*ctx.scratch)[si];
 
-    if (!FactBase::BatchJoinsEnabled()) {
-      // Columnar kernels are off: route this step through the legacy
-      // tuple-at-a-time probe, like CandidatesBatch itself degrades.
-      obs::Count(obs::Counter::kKernelFallbacks);
-      TermId pattern = subst->Apply(store, op.atom);
-      const size_t baseline = source.NameBucketSize(store, pattern);
-      std::span<const TermId> candidates =
-          source.CandidatesBatch(store, pattern, scratch, frozen, nullptr);
-      if (baseline > candidates.size()) {
-        obs::Count(obs::Counter::kUnificationsAvoided,
-                   baseline - candidates.size());
-      }
-      return MatchCandidates(si, op.atom, candidates);
-    }
-
     switch (op.code) {
-      case KernelOpCode::kSelectEq: {
-        // Every variable is bound: the substituted atom is ground and
-        // matches exactly itself. Replicates CandidatesBatch's ground
-        // branch (one membership probe) plus the single trivial match
-        // call the legacy loop would have made — without making it.
-        TermId atom = subst->Apply(store, op.atom);
-        const auto& bucket = source.WithName(store.PredName(atom));
-        if (bucket.empty()) return true;  // Missing bucket: no counters.
-        obs::Count(obs::Counter::kIndexProbes);
-        const size_t baseline = bucket.size();
-        if (!source.Contains(atom)) {
-          obs::Count(obs::Counter::kCandidatesPruned, baseline);
-          obs::Count(obs::Counter::kUnificationsAvoided, baseline);
+      case KernelOpCode::kSelectEq:
+        // Every variable is bound: a ground self-match binds nothing.
+        if (!SelectEq(store, source, subst->Apply(store, op.atom))) {
           return true;
         }
-        obs::Count(obs::Counter::kCandidatesPruned, baseline - 1);
-        if (baseline > 1) {
-          obs::Count(obs::Counter::kUnificationsAvoided, baseline - 1);
-        }
-        obs::Count(obs::Counter::kMatchCalls);
-        return Step(si + 1);  // A ground self-match binds nothing.
-      }
+        return Step(si + 1);
       case KernelOpCode::kProbeColumn: {
         // Probe fingerprints straight from the registers: provably the
-        // values CandidatesBatch computes from the substituted pattern
-        // (bindings are ground fact sub-terms; terms are hash-consed).
+        // fingerprints of the substituted pattern's key paths (bindings
+        // are ground fact sub-terms; terms are hash-consed).
         TermId name = Resolve(op.name_src, op.name);
         ColumnRuntimeKey keys[kMaxKeysPerStep];
         size_t nkeys = 0;
@@ -459,14 +433,13 @@ struct KernelExec {
           obs::Count(obs::Counter::kUnificationsAvoided,
                      baseline - candidates.size());
         }
-        return MatchCandidates(si, op.atom, candidates);
+        return MatchEach(si, op.atom, candidates);
       }
       case KernelOpCode::kScanDelta:
       case KernelOpCode::kScanRelation: {
         std::span<const TermId> candidates;
         if (op.name_ground) {
-          // No key column discriminates anything: per-name bucket scan,
-          // CandidatesBatch's bucket fallback.
+          // No key column discriminates anything: per-name bucket scan.
           TermId name = Resolve(op.name_src, op.name);
           const auto& bucket = source.WithName(name);
           if (bucket.empty()) {
@@ -491,15 +464,15 @@ struct KernelExec {
             candidates = *scratch;
           }
         }
-        return MatchCandidates(si, op.atom, candidates);
+        return MatchEach(si, op.atom, candidates);
       }
       default:
         return true;  // Unreachable: scan_ops only indexes join steps.
     }
   }
 
-  bool MatchCandidates(size_t si, TermId atom,
-                       std::span<const TermId> candidates) {
+  // Matches each candidate into the trail and recurses per match.
+  bool MatchEach(size_t si, TermId atom, std::span<const TermId> candidates) {
     const size_t mark = subst->Mark();
     for (TermId fact : candidates) {
       if (MatchResolvedInto(store, atom, fact, subst)) {
@@ -525,6 +498,60 @@ bool RunKernel(TermStore& store, const KernelProgram& program,
     obs::Count(obs::Counter::kKernelOpsExecuted, exec.ops_executed);
   }
   return ok;
+}
+
+bool RunGroundBody(TermStore& store, const Rule& rule,
+                   const KernelContext& ctx, size_t delta_pos,
+                   const std::function<bool(const Substitution&)>& sink) {
+  // Probe order. With every argument of every atom bound, the greedy
+  // planner's "most bound arguments, then smallest relation, then
+  // earliest" choice is a stable sort on (arity, size), after the pinned
+  // delta literal.
+  struct Probe {
+    TermId atom;
+    size_t arity;
+    size_t size;
+  };
+  std::vector<Probe> probes;
+  TermId pinned = kNoTerm;
+  for (const Literal& lit : rule.body) {
+    if (!lit.positive()) continue;
+    if (probes.size() + (pinned != kNoTerm) == delta_pos) {
+      pinned = lit.atom;
+      continue;
+    }
+    probes.push_back({lit.atom,
+                      store.IsApply(lit.atom) ? store.arity(lit.atom) : 0,
+                      0});
+  }
+  if (probes.size() > 1) {
+    for (Probe& p : probes) {
+      p.size = ctx.facts->WithName(store.PredName(p.atom)).size();
+    }
+    std::stable_sort(probes.begin(), probes.end(),
+                     [](const Probe& a, const Probe& b) {
+                       return a.arity != b.arity ? a.arity > b.arity
+                                                 : a.size < b.size;
+                     });
+  }
+  if (pinned != kNoTerm &&
+      !SelectEq(store, ctx.delta != nullptr ? *ctx.delta : *ctx.facts,
+                pinned)) {
+    return true;
+  }
+  for (const Probe& p : probes) {
+    if (!SelectEq(store, *ctx.facts, p.atom)) return true;
+  }
+  Substitution empty;
+  if (ctx.neg != nullptr) {
+    for (const Literal& lit : rule.body) {
+      if (lit.negative() &&
+          !NegProbePasses(store, *ctx.neg, lit.atom, empty)) {
+        return true;
+      }
+    }
+  }
+  return sink(empty);
 }
 
 // ---------------------------------------------------------------------------

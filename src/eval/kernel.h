@@ -20,25 +20,21 @@ namespace hilog {
 /// Rule-to-kernel compilation (docs/performance.md, "Rule compilation &
 /// kernel executor").
 ///
-/// Each range-restricted rule body is lowered once into a KernelProgram:
-/// a flat array of register-based ops over the columnar FactBase, where
-/// the "registers" are the variable bindings accumulated by earlier join
-/// steps (the substitution's trail). One executor — RunKernel — then
-/// serves every evaluator: the semi-naive bottom-up engine, the
-/// stratified fixpoint (negative literals become kNegProbe ops against
-/// the settled lower strata), the SCC scheduler's grounder, and (for
-/// join-order and accounting) the magic and tabled engines.
+/// Each rule body with a non-ground positive literal is lowered once into
+/// a KernelProgram: a flat array of register-based ops over the columnar
+/// FactBase, where the "registers" are the variable bindings accumulated
+/// by earlier join steps (the substitution's trail). One executor —
+/// RunKernel — then serves every rule-body join: the semi-naive
+/// bottom-up engine, the stratified fixpoint (negative literals become
+/// kNegProbe ops against the settled lower strata) and the SCC
+/// scheduler's grounder; the magic evaluator takes its join order from
+/// the compiled form. Fully ground bodies skip compilation and run
+/// through RunGroundBody, the same membership probes without a program.
 ///
-/// The compiled path is byte-identical to the legacy inline join loops:
-/// the compiler reuses the same greedy planner and the same probe-key
-/// derivation (src/eval/plan.h), the executor probes through
-/// FactBase::ProbeWithKeys — the extracted core of CandidatesBatch — and
-/// every observability counter the legacy path bumps is bumped the same
-/// amount. What compilation removes is the per-step interning of the
-/// substituted pattern (probe fingerprints are computed straight from
-/// the registers), the per-candidate re-application of the pattern
-/// (MatchResolvedInto walks the original atom), and the per-round
-/// variable analysis (cached per rule in the KernelCache).
+/// Probe fingerprints are computed straight from the registers (no
+/// per-step interning of the substituted pattern), each candidate is
+/// matched against the original atom (MatchResolvedInto), and the
+/// per-round variable analysis is cached per rule in the KernelCache.
 
 /// Kernel opcodes. kScanDelta/kScanRelation/kProbeColumn/kSelectEq are
 /// the join-step shapes; kNegProbe/kProject/kEmit form the program tail;
@@ -141,9 +137,9 @@ bool RunKernel(TermStore& store, const KernelProgram& program,
 /// Per rule the cache holds the variable analysis (JoinAtomInfo per
 /// positive atom) and the lowered program per (delta position, join
 /// order) variant. The greedy order itself is recomputed per Get — it
-/// depends on live relation-size estimates, and byte-identity with the
-/// legacy per-round planning requires following them — but from the
-/// cached analysis, so replanning costs no term traversals.
+/// follows live relation-size estimates, which fix the enumeration order
+/// every evaluator's output order rides on — but from the cached
+/// analysis, so replanning costs no term traversals.
 ///
 /// Thread-safe: a mutex guards the tables; programs are immutable.
 class KernelCache {
@@ -186,12 +182,6 @@ class KernelCache {
   std::shared_ptr<const KernelProgram> Get(TermStore& store, Handle handle,
                                            const JoinSizeEstimator& estimate,
                                            size_t delta_pos);
-
-  /// Like Get but with the identity join order over the positive body
-  /// literals — the tabled engine's textual-order walk, where answer
-  /// derivation order is observable and must not be replanned.
-  std::shared_ptr<const KernelProgram> GetTextual(TermStore& store,
-                                                  const Rule& rule);
 
   /// Runs the compile front-end (structural keying + variable analysis)
   /// for every rule, without lowering any variant: what Load/LoadMore/
@@ -236,22 +226,30 @@ class KernelCache {
       rules_;
 };
 
-/// Process-wide switch for the compiled path (the CLI/server
-/// --compile-rules flag; default on). When off, every evaluator runs its
-/// legacy inline join loop. The equivalence suites flip this to compare
-/// both paths end to end.
-void SetRuleCompilationEnabled(bool enabled);
-bool RuleCompilationEnabled();
-
 /// Whether a rule's body gives the compiler anything to compile: true
 /// iff some positive literal is non-ground. A fully ground positive body
 /// is a chain of membership probes — there is no join to plan, and
 /// workloads made of one-shot ground rules (grounder residues, game
 /// positions) would churn the cache with programs that never amortize —
-/// so the evaluators route such rules to the legacy matcher, whose
-/// non-kernel counters are byte-identical by construction. Prewarm
-/// applies the same test, so only compilable rules get cache entries.
+/// so the evaluators run such rules through RunGroundBody instead.
+/// Prewarm applies the same test, so only compilable rules get cache
+/// entries.
 bool WorthCompiling(const TermStore& store, const Rule& rule);
+
+/// Runs a rule that WorthCompiling rejects (every positive body literal
+/// ground, possibly none) without compiling or caching anything. Each
+/// positive literal is one kSelectEq membership probe, taken in the
+/// planner's order: the literal at `delta_pos` (among the positive
+/// literals; SIZE_MAX for none) first and against ctx.delta, the rest
+/// by arity (descending), then name-bucket size in ctx.facts
+/// (ascending), then textual position. When ctx.neg is set the negative
+/// literals follow as kNegProbe checks in textual order. If every check
+/// passes, `sink` is called once with the empty substitution. Bumps the
+/// probe and match counters a kSelectEq step bumps, but no kernel.*
+/// counter. Returns false iff the sink returned false.
+bool RunGroundBody(TermStore& store, const Rule& rule,
+                   const KernelContext& ctx, size_t delta_pos,
+                   const std::function<bool(const Substitution&)>& sink);
 
 /// Human-readable dump of one compiled program (one op per line), and of
 /// a whole program's rules compiled delta-free with uniform size

@@ -7,7 +7,6 @@
 #include "src/eval/cancel.h"
 #include "src/eval/fact_base.h"
 #include "src/eval/kernel.h"
-#include "src/eval/plan.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/term/unify.h"
@@ -16,8 +15,8 @@ namespace hilog {
 namespace {
 
 // Fact store that admits non-ground facts, deduplicating up to variable
-// renaming. Ground facts live in a shared argument-indexed FactBase (the
-// same discrimination index the bottom-up evaluators join through);
+// renaming. Ground facts live in a keyed FactBase (the same key columns
+// the bottom-up evaluators join through);
 // non-ground facts — rare, produced only by unsafe rewritten rules — stay
 // in small per-name side buckets.
 class VariantFactStore {
@@ -271,31 +270,19 @@ class Evaluator {
     if (!UnifyInto(store_, renamed.body[position].atom, target, &subst)) {
       return;
     }
-    // Remaining positions joined in shared-planner order, with the
-    // trigger position pinned first (its variables are already bound).
-    // With rule compilation on, the order comes from the compiled form
-    // of the *original* rule — renaming is a variable bijection, and the
-    // estimator only reads (ground) predicate names, so the plan is
-    // identical while the cached analysis skips the per-trigger variable
-    // traversals. The join itself keeps the unification machinery:
-    // variant facts may be non-ground, which MatchResolvedInto's
-    // ground-binding precondition rules out.
-    std::vector<size_t> order;
-    if (RuleCompilationEnabled()) {
-      std::shared_ptr<const KernelProgram> program = kcache_->Get(
-          store_, rule,
-          [&](TermId atom) { return facts_.EstimateForPattern(atom); },
-          position);
-      order = program->order;
-    } else {
-      std::vector<TermId> body_atoms;
-      body_atoms.reserve(renamed.body.size());
-      for (const Literal& lit : renamed.body) body_atoms.push_back(lit.atom);
-      order = PlanJoinOrder(
-          store_, body_atoms,
-          [&](TermId atom) { return facts_.EstimateForPattern(atom); },
-          position);
-    }
+    // Remaining positions joined in the compiled order of the *original*
+    // rule, with the trigger position pinned first (its variables are
+    // already bound) — renaming is a variable bijection, and the
+    // estimator only reads (ground) predicate names, so the plan is the
+    // renamed rule's while the cached analysis skips the per-trigger
+    // variable traversals. The join itself keeps the unification
+    // machinery: variant facts may be non-ground, which
+    // MatchResolvedInto's ground-binding precondition rules out.
+    std::shared_ptr<const KernelProgram> program = kcache_->Get(
+        store_, rule,
+        [&](TermId atom) { return facts_.EstimateForPattern(atom); },
+        position);
+    const std::vector<size_t>& order = program->order;
     // One scratch frame per join depth, sized up-front so JoinFrom never
     // reallocates the frame array mid-recursion.
     if (frames_.size() < order.size() + 1) frames_.resize(order.size() + 1);

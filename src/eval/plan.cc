@@ -18,9 +18,9 @@ void CollectJoinAtomInfo(const TermStore& store, TermId atom,
   }
 }
 
-std::vector<size_t> PlanJoinOrderFromInfo(
-    const std::vector<JoinAtomInfo>& info,
-    const std::vector<size_t>& est_sizes, size_t pinned_first) {
+std::vector<size_t> PlanJoinOrder(const std::vector<JoinAtomInfo>& info,
+                                  const std::vector<size_t>& est_sizes,
+                                  size_t pinned_first) {
   std::vector<size_t> order;
   order.reserve(info.size());
   // One or zero free atoms: nothing to reorder beyond the pin.
@@ -69,30 +69,6 @@ std::vector<size_t> PlanJoinOrderFromInfo(
   return order;
 }
 
-std::vector<size_t> PlanJoinOrder(const TermStore& store,
-                                  const std::vector<TermId>& atoms,
-                                  const JoinSizeEstimator& estimate,
-                                  size_t pinned_first) {
-  // Replicate the shortcut before collecting info: with at most one free
-  // atom neither the variable analysis nor the estimator is consulted.
-  if (atoms.size() <= (pinned_first == SIZE_MAX ? size_t{1} : size_t{2})) {
-    std::vector<size_t> order;
-    order.reserve(atoms.size());
-    if (pinned_first != SIZE_MAX) order.push_back(pinned_first);
-    for (size_t i = 0; i < atoms.size(); ++i) {
-      if (i != pinned_first) order.push_back(i);
-    }
-    return order;
-  }
-  std::vector<JoinAtomInfo> info(atoms.size());
-  std::vector<size_t> est_sizes(atoms.size());
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    CollectJoinAtomInfo(store, atoms[i], &info[i]);
-    est_sizes[i] = estimate(atoms[i]);
-  }
-  return PlanJoinOrderFromInfo(info, est_sizes, pinned_first);
-}
-
 void DeriveProbeKeys(const TermStore& store, TermId atom,
                      const std::function<bool(TermId)>& ground_at_probe,
                      std::vector<ColumnProbeKey>* keys) {
@@ -118,45 +94,6 @@ void DeriveProbeKeys(const TermStore& store, TermId atom,
       }
     }
   }
-}
-
-JoinPlan PlanBatchJoin(const TermStore& store,
-                       const std::vector<TermId>& atoms,
-                       const JoinSizeEstimator& estimate,
-                       size_t pinned_first) {
-  JoinPlan plan;
-  plan.order = PlanJoinOrder(store, atoms, estimate, pinned_first);
-  plan.steps.reserve(plan.order.size());
-
-  // Boundness analysis: at step k the variables bound when its probe
-  // runs are exactly the variables of steps 0..k-1 (each earlier match
-  // binds all of its atom's variables to ground fact sub-terms).
-  std::unordered_set<TermId> bound;
-  std::vector<TermId> vars;
-  auto ground_at_probe = [&](TermId t) {
-    if (store.IsGround(t)) return true;
-    vars.clear();
-    store.CollectVariables(t, &vars);
-    for (TermId v : vars) {
-      if (bound.count(v) == 0) return false;
-    }
-    return true;
-  };
-
-  for (size_t i : plan.order) {
-    TermId atom = atoms[i];
-    JoinStep step;
-    step.atom = atom;
-    step.name_ground_at_probe = ground_at_probe(store.PredName(atom));
-    if (step.name_ground_at_probe) {
-      DeriveProbeKeys(store, atom, ground_at_probe, &step.keys);
-    }
-    vars.clear();
-    store.CollectVariables(atom, &vars);
-    for (TermId v : vars) bound.insert(v);
-    plan.steps.push_back(std::move(step));
-  }
-  return plan;
 }
 
 }  // namespace hilog

@@ -33,25 +33,16 @@ void CollectJoinAtomInfo(const TermStore& store, TermId atom,
 /// atom with the most arguments already bound (by constants or by
 /// variables of previously placed atoms), breaking ties toward the
 /// smaller estimated relation, then the original position (so plans are
-/// deterministic). The pinned atom, if any, is placed first. `est_sizes`
-/// is only read when there are at least two free atoms (the one-free-atom
-/// shortcut never consults it) and must then be parallel to `info`.
-std::vector<size_t> PlanJoinOrderFromInfo(
-    const std::vector<JoinAtomInfo>& info,
-    const std::vector<size_t>& est_sizes, size_t pinned_first);
-
-/// Greedy join plan shared by the semi-naive evaluator and the magic
-/// evaluator: collects JoinAtomInfo per atom and runs
-/// PlanJoinOrderFromInfo. The pinned atom, if any, is the semi-naive
-/// delta literal or the magic trigger position — the smallest relation by
-/// construction, and every firing must use it.
+/// deterministic). The pinned atom, if any, is placed first: the
+/// semi-naive delta literal or the magic trigger position, the smallest
+/// relation by construction, which every firing must use. `est_sizes` is
+/// parallel to `info`.
 ///
-/// Returns a permutation of [0, atoms.size()): the order in which to join.
-/// The enumerated match set is unaffected by the order, only the
+/// Returns a permutation of [0, info.size()): the order in which to
+/// join. The enumerated match set is unaffected by the order, only the
 /// enumeration sequence and the work done to produce it.
-std::vector<size_t> PlanJoinOrder(const TermStore& store,
-                                  const std::vector<TermId>& atoms,
-                                  const JoinSizeEstimator& estimate,
+std::vector<size_t> PlanJoinOrder(const std::vector<JoinAtomInfo>& info,
+                                  const std::vector<size_t>& est_sizes,
                                   size_t pinned_first);
 
 /// Derives the statically provable columnar probe keys of `atom` given a
@@ -63,39 +54,10 @@ std::vector<size_t> PlanJoinOrder(const TermStore& store,
 /// compound argument that is not fully bound but whose own name is probes
 /// its (name, arity) shape column, with its fully-bound sub-arguments
 /// probing exact sub-path columns. Paths beyond the FactBase indexing
-/// bounds are never emitted. This single helper is what keeps the legacy
-/// batch planner and the kernel compiler from drifting on key selection.
+/// bounds are never emitted.
 void DeriveProbeKeys(const TermStore& store, TermId atom,
                      const std::function<bool(TermId)>& ground_at_probe,
                      std::vector<ColumnProbeKey>* keys);
-
-/// One step of a batch join plan: the body atom to join at this depth plus
-/// the statically proven probe keys for the columnar path.
-///
-/// `name_ground_at_probe` holds exactly when every variable of the atom's
-/// predicate name occurs in an earlier step; see DeriveProbeKeys for the
-/// key-derivation rules.
-struct JoinStep {
-  TermId atom = kNoTerm;
-  bool name_ground_at_probe = false;
-  std::vector<ColumnProbeKey> keys;
-};
-
-/// A full batch join plan: the greedy PlanJoinOrder permutation plus the
-/// per-step static key analysis above, in join order. `order[i]` is the
-/// original body position of `steps[i]`.
-struct JoinPlan {
-  std::vector<size_t> order;
-  std::vector<JoinStep> steps;
-};
-
-/// Plans the join order (identical to PlanJoinOrder — the batch path must
-/// enumerate matches in exactly the same sequence as the tuple path) and
-/// derives each step's static probe keys for FactBase::CandidatesBatch.
-JoinPlan PlanBatchJoin(const TermStore& store,
-                       const std::vector<TermId>& atoms,
-                       const JoinSizeEstimator& estimate,
-                       size_t pinned_first);
 
 }  // namespace hilog
 

@@ -30,7 +30,6 @@ bool RunComponentFixpoint(TermStore& store,
                           const BottomUpOptions& options, FactBase* facts,
                           size_t* derivations, std::vector<TermId>* derived,
                           std::string* error) {
-  const bool compiled = RuleCompilationEnabled();
   KernelCache transient_cache;
   KernelCache* kcache = options.kernel_cache != nullptr
                             ? options.kernel_cache
@@ -38,18 +37,13 @@ bool RunComponentFixpoint(TermStore& store,
   std::vector<std::vector<TermId>> scratch;
   // Resolve each rule's structural cache entry once; rounds then pay
   // only the per-variant order check, not the rule hash and bucket scan.
-  std::vector<KernelCache::Handle> handles;
+  // Fact rules and fully ground bodies run uncompiled and get no entry.
+  std::vector<KernelCache::Handle> handles(rules.size());
   std::vector<bool> use_kernel(rules.size(), false);
-  if (compiled) {
-    handles.resize(rules.size());
-    for (size_t ri = 0; ri < rules.size(); ++ri) {
-      // Fact rules and fully ground bodies take the legacy branch
-      // below; only rules the fixpoint actually joins get cache
-      // entries.
-      if (WorthCompiling(store, *rules[ri])) {
-        use_kernel[ri] = true;
-        handles[ri] = kcache->Resolve(store, *rules[ri]);
-      }
+  for (size_t ri = 0; ri < rules.size(); ++ri) {
+    if (WorthCompiling(store, *rules[ri])) {
+      use_kernel[ri] = true;
+      handles[ri] = kcache->Resolve(store, *rules[ri]);
     }
   }
   bool changed = true;
@@ -76,13 +70,18 @@ bool RunComponentFixpoint(TermStore& store,
         }
         return true;
       };
-      if (compiled && use_kernel[ri]) {
-        // The compiled body carries the rule's negative literals as
-        // kNegProbe ops against `facts` — lower components are settled
-        // (stratification), so a hit is final. The positive joins
-        // replan per fixpoint round like the legacy path. Rules with
-        // nothing to compile (no positive body, or a fully ground one)
-        // fall through to ForEachPositiveMatch instead.
+      // Negative literals are kNegProbe checks against `facts`: lower
+      // components are settled (stratification), so a hit is final. The
+      // sink inserts derived heads straight back into *facts, so
+      // candidate probes must snapshot (never frozen).
+      KernelContext ctx;
+      ctx.facts = facts;
+      ctx.neg = facts;
+      if (!use_kernel[ri]) {
+        RunGroundBody(store, *rule, ctx, SIZE_MAX, derive);
+      } else {
+        // The positive joins replan per fixpoint round, following the
+        // live bucket sizes.
         std::shared_ptr<const KernelProgram> program = kcache->Get(
             store, handles[ri],
             [&](TermId atom) {
@@ -95,29 +94,8 @@ bool RunComponentFixpoint(TermStore& store,
           scratch.resize(program->scan_ops.size());
         }
         Substitution subst;
-        KernelContext ctx;
-        ctx.facts = facts;
-        ctx.neg = facts;
-        // The sink inserts derived heads straight back into *facts, so
-        // candidate probes must snapshot (never frozen).
-        ctx.facts_frozen = false;
         ctx.scratch = &scratch;
         RunKernel(store, *program, ctx, &subst, derive);
-      } else {
-        ForEachPositiveMatch(
-            store, *rule, *facts,
-            [&](const Substitution& theta) {
-              for (const Literal& lit : rule->body) {
-                if (!lit.negative()) continue;
-                TermId atom = theta.Apply(store, lit.atom);
-                if (!store.IsGround(atom)) return true;  // Unbound: skip.
-                if (facts->Contains(atom)) return true;  // Blocked.
-              }
-              return derive(theta);
-            },
-            // The callback inserts derived heads straight back into
-            // *facts, so candidate probes must snapshot (never frozen).
-            /*frozen_facts=*/false);
       }
       if (budget_hit) {
         *error = "fact budget exhausted";

@@ -5,7 +5,6 @@
 
 #include "src/eval/cancel.h"
 #include "src/eval/fact_base.h"
-#include "src/eval/kernel.h"
 #include "src/lang/printer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -25,9 +24,9 @@ TermId CanonicalizeGoal(TermStore& store, TermId goal) {
 
 namespace {
 
-// One memo table per canonical subgoal. Ground answers live in an
-// argument-indexed FactBase so recursive subgoals probe by bound
-// argument instead of scanning the whole answer list; the (rare)
+// One memo table per canonical subgoal. Ground answers live in a keyed
+// FactBase so recursive subgoals probe by bound argument instead of
+// scanning the whole answer list; the (rare)
 // non-ground answers stay in a side list that is always consulted.
 struct Table {
   std::vector<TermId> answers;           // Instances, in derivation order.
@@ -40,14 +39,9 @@ class TabledEngine {
  public:
   TabledEngine(TermStore& store, const Program& program,
                const TabledOptions& options)
-      : store_(store),
-        program_(program),
-        options_(options),
-        kcache_(options.kernel_cache != nullptr ? options.kernel_cache
-                                                : &local_kernel_cache_) {}
+      : store_(store), program_(program), options_(options) {}
 
   TabledResult Run(TermId query) {
-    compiled_ = RuleCompilationEnabled();
     for (const Rule& rule : program_.rules) {
       for (const Literal& lit : rule.body) {
         if (!lit.positive()) {
@@ -149,14 +143,6 @@ class TabledEngine {
   bool EvaluateGoal(TermId canon) {
     bool changed = false;
     for (const Rule& rule : program_.rules) {
-      if (compiled_) {
-        // Textual-order compiled form of the original rule: first pass
-        // per rule lowers it, later passes hit the variant cache. The
-        // body walk below follows the program's step sequence (SolveBody
-        // accounts one kernel op per step); candidate probes go through
-        // the same columnar CandidatesBatch kernels the compiled ops use.
-        kcache_->GetTextual(store_, rule);
-      }
       Rule renamed = RenameRuleApart(store_, rule);
       Substitution subst;
       // The canonical goal's #C-variables function as the call pattern.
@@ -178,7 +164,6 @@ class TabledEngine {
       return false;
     }
     obs::Count(obs::Counter::kTabledSteps);
-    if (compiled_) obs::Count(obs::Counter::kKernelOpsExecuted);
     if (index == body.size()) {
       return AddAnswer(canon, subst.Apply(store_, goal_instance));
     }
@@ -187,7 +172,7 @@ class TabledEngine {
     // Index-pruned ground answers plus every non-ground one; a snapshot,
     // since recursive AddAnswer grows the table under us. Unification
     // against a ground answer succeeds only where one-way matching does,
-    // so the discrimination index prunes soundly here too.
+    // so the key-column probe prunes soundly here too.
     const Table& sub_table = tables_[sub_canon];
     const size_t baseline = sub_table.answers.size();
     std::vector<TermId> answers;
@@ -217,10 +202,6 @@ class TabledEngine {
   TermStore& store_;
   const Program& program_;
   TabledOptions options_;
-  // Declared before kcache_, which may point at it.
-  KernelCache local_kernel_cache_;
-  KernelCache* kcache_;
-  bool compiled_ = false;
   std::unordered_map<TermId, Table> tables_;
   std::vector<TermId> goal_order_;
   size_t total_answers_ = 0;

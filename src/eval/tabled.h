@@ -9,20 +9,10 @@
 
 namespace hilog {
 
-class KernelCache;
-
 /// Options for tabled evaluation.
 struct TabledOptions {
   size_t max_answers = 500000;
   size_t max_steps = 5000000;
-  /// Kernel compilation cache (src/eval/kernel.h), normally the owning
-  /// Engine's. Tabled bodies compile in *textual* order — the answer
-  /// derivation order is observable, so the engine never replans — and
-  /// tabled joins unify against possibly non-ground tabled answers, so
-  /// the compiled programs drive step accounting and cached analysis
-  /// while the resolution machinery stays. Null falls back to a
-  /// per-query cache.
-  KernelCache* kernel_cache = nullptr;
 };
 
 struct TabledResult {

@@ -9,7 +9,7 @@
 namespace hilog::obs {
 
 namespace internal {
-thread_local ObsContext tl_context;
+constinit thread_local ObsContext tl_context{};
 }  // namespace internal
 
 const char* CounterName(Counter c) {
@@ -68,7 +68,6 @@ const char* CounterName(Counter c) {
     case Counter::kKernelProgramsCompiled: return "kernel.programs_compiled";
     case Counter::kKernelCacheHits: return "kernel.cache_hits";
     case Counter::kKernelOpsExecuted: return "kernel.ops_executed";
-    case Counter::kKernelFallbacks: return "kernel.fallbacks";
     case Counter::kCount: break;
   }
   return "?";

@@ -38,15 +38,16 @@ enum class Counter : uint16_t {
   // Bottom-up substrate (positive-projection least model / envelope).
   kBottomUpRounds,
   kBottomUpFacts,
-  // Argument-discrimination index (FactBase and the stores built on it).
-  kIndexProbes,          // Candidates() calls answered from the arg index.
+  // FactBase probes (and the stores built on it).
+  kIndexProbes,          // Membership checks and key-column lookups.
   kCandidatesPruned,     // Candidates skipped relative to the name bucket.
   kUnificationsAvoided,  // Match/unify attempts the joins never made.
   // Columnar batch-join path (FactBase key columns).
   kColRows,            // Rows appended to key columns (per column).
   kColBatchJoins,      // Probes answered through the columnar hash.
   kColProbeHits,       // Candidate rows yielded by columnar probes.
-  kColFallbackTuples,  // Candidate rows served by non-columnar fallbacks.
+  kColFallbackTuples,  // Candidate rows served by unkeyed (whole-bucket
+                       // or whole-base) scans.
   // Well-founded fixpoints.
   kWfsRounds,          // Alternating Gamma^2 pairs, or W_P iterations.
   kGammaApplications,  // GL-reduct least-model computations.
@@ -93,8 +94,6 @@ enum class Counter : uint16_t {
   kKernelProgramsCompiled,  // Rule variants lowered to kernel programs.
   kKernelCacheHits,         // Executions served by a cached program.
   kKernelOpsExecuted,       // Kernel ops run (scans, probes, neg-probes).
-  kKernelFallbacks,         // Kernel steps that fell back to the legacy
-                            // tuple probe (batch joins disabled).
   kCount,
 };
 
@@ -232,7 +231,9 @@ struct ObsContext {
 };
 
 namespace internal {
-extern thread_local ObsContext tl_context;
+// constinit: the definition is constant-initialized, so every access is
+// a direct TLS load rather than a call through the TLS init wrapper.
+extern constinit thread_local ObsContext tl_context;
 }  // namespace internal
 
 inline MetricsRegistry* CurrentMetrics() {

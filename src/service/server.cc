@@ -151,6 +151,13 @@ void LineServer::AcceptLoop() {
       if (errno == EINTR) continue;
       break;
     }
+    {
+      // Reap on every wakeup, so before any new connection is added and
+      // at least every 200 ms: a long-running server holds threads and
+      // fds only for connections that are still open.
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      ReapFinishedLocked();
+    }
     if (ready == 0) continue;
     for (int listen_fd : {tcp_fd_, unix_fd_}) {
       if (listen_fd < 0 || !FD_ISSET(listen_fd, &fds)) continue;
@@ -164,17 +171,27 @@ void LineServer::AcceptLoop() {
       auto connection = std::make_unique<Connection>();
       connection->fd = conn_fd;
       Connection* raw = connection.get();
-      connection->thread =
-          std::thread([this, raw] { ServeConnection(raw->fd); });
+      connection->thread = std::thread([this, raw] { ServeConnection(raw); });
       connections_.push_back(std::move(connection));
     }
   }
 }
 
-void LineServer::ServeConnection(int fd) {
+void LineServer::ReapFinishedLocked() {
+  std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+    if (!c->done.load(std::memory_order_acquire)) return false;
+    c->thread.join();  // Returns at once: the thread is exiting.
+    ::close(c->fd);
+    return true;
+  });
+}
+
+void LineServer::ServeConnection(Connection* connection) {
+  const int fd = connection->fd;
   std::string buffer;
   char chunk[4096];
   bool open = true;
+  bool overlong = false;
   while (open && !stopping()) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0) {
@@ -182,10 +199,17 @@ void LineServer::ServeConnection(int fd) {
       break;
     }
     if (n == 0) break;  // Peer closed.
+    // Only the new bytes can hold a newline: what is buffered is the
+    // unterminated tail of earlier reads, already scanned.
+    size_t scan = buffer.size();
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
-    for (size_t nl; (nl = buffer.find('\n', start)) != std::string::npos;
-         start = nl + 1) {
+    for (size_t nl; (nl = buffer.find('\n', scan)) != std::string::npos;
+         start = scan = nl + 1) {
+      if (nl - start > kMaxRequestLineBytes) {
+        overlong = true;
+        break;
+      }
       std::string_view line(buffer.data() + start, nl - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       if (line.empty()) continue;
@@ -204,9 +228,23 @@ void LineServer::ServeConnection(int fd) {
       }
     }
     buffer.erase(0, start);
+    if (overlong || buffer.size() > kMaxRequestLineBytes) {
+      overlong = true;
+      open = false;
+    }
   }
-  // The fd is closed by Stop() after this thread is joined — closing it
-  // here could race a concurrent shutdown() against a recycled fd number.
+  if (overlong) {
+    SendAll(fd, EncodeErrorResponse("request line exceeds " +
+                                        std::to_string(kMaxRequestLineBytes) +
+                                        " bytes; closing the connection",
+                                    /*id=*/"") +
+                    "\n");
+  }
+  // Unblock the peer now; the fd itself is closed by whoever joins this
+  // thread (the acceptor's reap or Stop()), never here, so its number
+  // cannot be recycled while someone may still shut it down.
+  ::shutdown(fd, SHUT_RDWR);
+  connection->done.store(true, std::memory_order_release);
 }
 
 std::string LineServer::Dispatch(const WireRequest& request) {
@@ -458,8 +496,8 @@ void LineServer::Stop() {
       accepting_ = false;
       connections.swap(connections_);
     }
-    // Unblock recv() in every connection thread, then join. The threads
-    // close their own fds on exit.
+    // Unblock recv() in every connection thread, then join each and
+    // close its fd: the swap above made this teardown their owner.
     for (auto& connection : connections) {
       ::shutdown(connection->fd, SHUT_RDWR);
     }

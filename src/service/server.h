@@ -66,6 +66,12 @@ class LineServer {
   /// connection thread, joins the acceptor. Idempotent.
   void Stop();
 
+  /// Longest request line a connection may send (excluding the '\n').
+  /// A longer line gets an error response and the connection closes, so
+  /// a peer can never make the server buffer more than this per
+  /// connection.
+  static constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
+
   bool stopping() const {
     return stop_requested_.load(std::memory_order_acquire);
   }
@@ -75,15 +81,23 @@ class LineServer {
   std::string Dispatch(const WireRequest& request);
 
  private:
+  /// One accepted connection. Its fd has exactly one owner: whoever
+  /// joins `thread` — the acceptor once `done` is set, or Stop() — then
+  /// closes the fd. The serving thread itself only shuts the socket
+  /// down, so a closed fd number is never reused while a thread or
+  /// Stop() still refers to it.
   struct Connection {
     int fd = -1;
     std::thread thread;
+    std::atomic<bool> done{false};  // Set as the serving thread exits.
   };
 
   std::string BindTcp();
   std::string BindUnix();
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(Connection* connection);
+  /// Joins and closes every finished connection; conn_mu_ held.
+  void ReapFinishedLocked();
   void CloseListeners();
 
   void SamplerLoop();

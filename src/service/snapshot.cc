@@ -52,9 +52,13 @@ std::shared_ptr<const ModelSnapshot> SnapshotStore::Build(
 SnapshotStore::SnapshotStore(EngineOptions engine_options)
     : engine_options_(std::move(engine_options)) {
   std::string error;
-  current_.store(Build(/*epoch=*/0, "", /*solve_wfs=*/false, engine_options_,
-                       /*previous=*/nullptr, &error),
-                 std::memory_order_release);
+  Install(Build(/*epoch=*/0, "", /*solve_wfs=*/false, engine_options_,
+             /*previous=*/nullptr, &error));
+}
+
+void SnapshotStore::Install(std::shared_ptr<const ModelSnapshot> next) {
+  std::lock_guard<std::mutex> lock(current_mu_);
+  current_.swap(next);
 }
 
 std::string SnapshotStore::Publish(std::string_view text, bool append,
@@ -80,7 +84,7 @@ std::string SnapshotStore::Publish(std::string_view text, bool append,
   }
   // The swap: in-flight readers keep the previous snapshot alive through
   // their shared_ptr; it is destroyed when the last of them lets go.
-  current_.store(std::move(next), std::memory_order_release);
+  Install(std::move(next));
   return "";
 }
 
@@ -117,8 +121,7 @@ std::string SnapshotStore::PublishDelta(std::string_view additions,
   snapshot->delta_retract_ = std::string(retractions);
   ++next_epoch_;
   delta_builds_.fetch_add(1, std::memory_order_relaxed);
-  current_.store(std::shared_ptr<const ModelSnapshot>(std::move(snapshot)),
-                 std::memory_order_release);
+  Install(std::move(snapshot));
   return "";
 }
 

@@ -77,10 +77,11 @@ class ModelSnapshot {
 
 /// The publication point: writers build the next snapshot off to the
 /// side (parse + optional WFS solve on a private engine) and swap it in
-/// with one atomic shared_ptr store. Readers `Current()` without taking
-/// any lock and keep their snapshot alive by holding the shared_ptr, so
-/// readers never block writers and vice versa; publishers serialize among
-/// themselves on `publish_mu_`.
+/// with one pointer store under `current_mu_`. Readers `Current()` by
+/// copying the shared_ptr under the same mutex — held only for the
+/// copy, so a reader never waits on a build — and keep their snapshot
+/// alive by holding it. Publishers serialize among themselves on
+/// `publish_mu_`.
 class SnapshotStore {
  public:
   /// Constructs with an empty program published at epoch 0.
@@ -88,7 +89,8 @@ class SnapshotStore {
 
   /// The currently published snapshot; never null.
   std::shared_ptr<const ModelSnapshot> Current() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
   }
 
   /// Builds and publishes the next snapshot. With `append`, the new
@@ -129,6 +131,11 @@ class SnapshotStore {
   }
 
  private:
+  /// Publishes `next` as the current snapshot. The previous one is
+  /// released after the lock drops, so when no reader holds it its
+  /// (possibly large) engine is freed outside the critical section.
+  void Install(std::shared_ptr<const ModelSnapshot> next);
+
   /// Builds a snapshot off to the side; returns nullptr + error on
   /// failure (only the store can reach ModelSnapshot's internals). When
   /// `previous` is given and `text` extends its source, the new
@@ -143,7 +150,10 @@ class SnapshotStore {
   EngineOptions engine_options_;
   std::mutex publish_mu_;
   uint64_t next_epoch_ = 1;  // Guarded by publish_mu_.
-  std::atomic<std::shared_ptr<const ModelSnapshot>> current_;
+  // A plain mutex, not std::atomic<std::shared_ptr>: libstdc++ guards
+  // the atomic with a lock bit that ThreadSanitizer does not model.
+  mutable std::mutex current_mu_;
+  std::shared_ptr<const ModelSnapshot> current_;  // Guarded by current_mu_.
   std::atomic<uint64_t> seeded_builds_{0};
   std::atomic<uint64_t> full_rebuilds_{0};
   std::atomic<uint64_t> delta_builds_{0};

@@ -37,8 +37,7 @@ bool MatchInto(TermStore& store, TermId pattern, TermId target,
 /// pattern variable is a fully resolved ground term (true for the join
 /// loops, which only ever bind pattern variables to ground fact
 /// sub-terms). This is the kernel executor's per-candidate match
-/// (src/eval/kernel.h): it removes the Apply-per-candidate re-interning
-/// the legacy MatchBody paid on every probe step.
+/// (src/eval/kernel.h): no probe step re-interns its pattern.
 bool MatchResolvedInto(TermStore& store, TermId pattern, TermId target,
                        Substitution* subst);
 

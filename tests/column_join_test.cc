@@ -1,43 +1,31 @@
-// Equivalence suite for the columnar batch-join path (FactBase key
-// columns + CandidatesBatch + the planner's static probe keys):
-//  - batch probes yield exactly the legacy Candidates match lists, in the
-//    same candidate order, frozen and non-frozen, across random HiLog
+// Suite for the columnar join path (FactBase key columns +
+// CandidatesBatch + the kernel's register-computed probe keys):
+//  - batch probes yield exactly the match sequence of a full scan of the
+//    base in insertion order, frozen and non-frozen, across random HiLog
 //    facts and patterns (including variable predicate names);
 //  - per-column watermarks catch up after interleaved inserts;
 //  - whole evaluations (semi-naive least model, component WFS, magic
-//    queries, the universal call/u_i encoding) are byte-identical with
-//    the batch path on and off.
+//    queries, the universal call/u_i encoding) reproduce the transcripts
+//    in tests/golden/column_join.txt at one and at four threads.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "golden.h"
+#include "join_transcripts.h"
 #include "random_programs.h"
-#include "src/core/engine.h"
 #include "src/eval/bottomup.h"
 #include "src/eval/fact_base.h"
-#include "src/eval/scheduler.h"
 #include "src/lang/parser.h"
-#include "src/lang/printer.h"
 #include "src/term/unify.h"
-#include "src/transform/universal.h"
 
 namespace hilog {
 namespace {
 
-// Restores the process-global batch toggle no matter how a test exits.
-class BatchToggle {
- public:
-  explicit BatchToggle(bool on) { FactBase::SetBatchJoinsEnabled(on); }
-  ~BatchToggle() { FactBase::SetBatchJoinsEnabled(true); }
-  BatchToggle(const BatchToggle&) = delete;
-  BatchToggle& operator=(const BatchToggle&) = delete;
-};
-
-// The matches a candidate list produces, in candidate order. Candidate
-// *lists* may differ between the two paths (different supersets); the
-// match sequence — which is what drives every evaluator — must not.
+// The matches a candidate list produces, in candidate order.
 std::vector<TermId> MatchSequence(TermStore& store, TermId pattern,
                                   std::span<const TermId> candidates) {
   std::vector<TermId> out;
@@ -48,7 +36,7 @@ std::vector<TermId> MatchSequence(TermStore& store, TermId pattern,
   return out;
 }
 
-TEST(ColumnJoinTest, BatchProbeMatchesLegacyOnRandomFactsAndPatterns) {
+TEST(ColumnJoinTest, BatchProbeMatchesFullScanOnRandomFactsAndPatterns) {
   for (unsigned seed = 0; seed < 25; ++seed) {
     TermStore store;
     FactBase facts;
@@ -58,8 +46,7 @@ TEST(ColumnJoinTest, BatchProbeMatchesLegacyOnRandomFactsAndPatterns) {
     for (const std::string& text :
          testing::RandomHiLogPatterns(seed * 31 + 7, 40)) {
       TermId pattern = *ParseTerm(store, text);
-      std::vector<TermId> legacy = facts.Candidates(store, pattern);
-      std::vector<TermId> want = MatchSequence(store, pattern, legacy);
+      std::vector<TermId> want = MatchSequence(store, pattern, facts.facts());
       for (bool frozen : {false, true}) {
         std::vector<TermId> scratch;
         std::span<const TermId> batch =
@@ -130,121 +117,75 @@ TEST(ColumnJoinTest, SemiNaiveDerivesFullClosureWithMidRoundInserts) {
   EXPECT_EQ(result.facts.size(), n + n * (n + 1) / 2);
 }
 
-// Facts of the least model rendered in derivation order — byte-comparable
-// across independent term stores.
-std::vector<std::string> LeastModelStrings(const std::string& text) {
-  TermStore store;
-  ParseResult<Program> parsed = ParseProgram(store, text);
-  EXPECT_TRUE(parsed.ok()) << parsed.error;
-  BottomUpResult result =
-      LeastModelOfPositiveProjection(store, *parsed, BottomUpOptions());
-  EXPECT_FALSE(result.truncated);
-  std::vector<std::string> out;
-  out.reserve(result.facts.facts().size());
-  for (TermId fact : result.facts.facts()) {
-    out.push_back(store.ToString(fact));
-  }
-  return out;
+using testing::GoldenRecord;
+
+const testing::GoldenFile& Golden() {
+  static const testing::GoldenFile golden =
+      testing::ReadGolden("column_join.txt");
+  return golden;
 }
 
-std::vector<std::string> WfsTrueAtomStrings(const std::string& text) {
-  TermStore store;
-  ParseResult<Program> parsed = ParseProgram(store, text);
-  EXPECT_TRUE(parsed.ok()) << parsed.error;
-  ComponentWfsResult result =
-      SolveWfsByComponents(store, *parsed, BottomUpOptions());
-  EXPECT_TRUE(result.ok) << result.error;
-  std::vector<std::string> out;
-  for (TermId atom : result.model.TrueAtoms()) {
-    out.push_back(store.ToString(atom));
+constexpr size_t kThreadCounts[] = {1, 4};
+
+class ColumnJoinPropertyTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  std::string Key(const std::string& family, const std::string& program) {
+    std::string key = family + " seed=" + std::to_string(GetParam());
+    return program.empty() ? key : key + " " + program;
   }
-  return out;
-}
+};
 
-class ColumnJoinPropertyTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ColumnJoinPropertyTest, LeastModelByteIdenticalWithBatchOnAndOff) {
+TEST_P(ColumnJoinPropertyTest, LeastModelMatchesGolden) {
   // Derivation *order* must match, not just the set: the scheduler's and
   // service's byte-identity guarantees ride on it.
-  for (const std::string& text :
-       {testing::RandomGameProgram(GetParam()),
-        testing::RandomRangeRestrictedNormalProgram(GetParam()),
-        testing::RandomGroundProgram(GetParam())}) {
-    std::vector<std::string> with_batch;
-    {
-      BatchToggle toggle(true);
-      with_batch = LeastModelStrings(text);
+  const std::pair<std::string, std::string> programs[] = {
+      {"game", testing::RandomGameProgram(GetParam())},
+      {"normal", testing::RandomRangeRestrictedNormalProgram(GetParam())},
+      {"ground", testing::RandomGroundProgram(GetParam())}};
+  for (const auto& [name, text] : programs) {
+    for (size_t threads : kThreadCounts) {
+      EXPECT_EQ(testing::LeastModelTranscript(text, threads),
+                GoldenRecord(Golden(), Key("least_model", name)))
+          << name << " threads " << threads << "\n" << text;
     }
-    std::vector<std::string> without_batch;
-    {
-      BatchToggle toggle(false);
-      without_batch = LeastModelStrings(text);
-    }
-    EXPECT_EQ(with_batch, without_batch) << text;
   }
 }
 
-TEST_P(ColumnJoinPropertyTest, UniversalEncodingByteIdentical) {
+TEST_P(ColumnJoinPropertyTest, UniversalEncodingMatchesGolden) {
   // The call/u_i encoding buries every joining term one level down:
   // candidates must flow through the sub-argument columns.
-  TermStore encode_store;
-  std::string game = testing::RandomGameProgram(GetParam());
-  ParseResult<Program> parsed = ParseProgram(encode_store, game);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  UniversalTransform u(encode_store);
-  Program encoded = u.EncodeProgram(*parsed);
-  std::string text;
-  for (const Rule& rule : encoded.rules) {
-    text += RuleToString(encode_store, rule) + "\n";
-  }
-  std::vector<std::string> with_batch;
-  {
-    BatchToggle toggle(true);
-    with_batch = LeastModelStrings(text);
-  }
-  std::vector<std::string> without_batch;
-  {
-    BatchToggle toggle(false);
-    without_batch = LeastModelStrings(text);
-  }
-  EXPECT_FALSE(with_batch.empty()) << text;
-  EXPECT_EQ(with_batch, without_batch) << text;
-}
-
-TEST_P(ColumnJoinPropertyTest, ComponentWfsIdenticalWithBatchOnAndOff) {
-  for (const std::string& text :
-       {testing::RandomGameProgram(GetParam(), /*cyclic=*/true),
-        testing::RandomRangeRestrictedNormalProgram(GetParam())}) {
-    std::vector<std::string> with_batch;
-    {
-      BatchToggle toggle(true);
-      with_batch = WfsTrueAtomStrings(text);
-    }
-    std::vector<std::string> without_batch;
-    {
-      BatchToggle toggle(false);
-      without_batch = WfsTrueAtomStrings(text);
-    }
-    EXPECT_EQ(with_batch, without_batch) << text;
+  const std::string text = testing::UniversalEncodingText(
+      testing::RandomGameProgram(GetParam()));
+  for (size_t threads : kThreadCounts) {
+    const std::string model = testing::LeastModelTranscript(text, threads);
+    EXPECT_FALSE(model.empty()) << text;
+    EXPECT_EQ(model, GoldenRecord(Golden(), Key("universal", "")))
+        << "threads " << threads << "\n" << text;
   }
 }
 
-TEST_P(ColumnJoinPropertyTest, MagicQueryIdenticalWithBatchOnAndOff) {
-  std::string text = testing::RandomGameProgram(GetParam(), /*cyclic=*/true);
-  auto answers = [&](bool batch) {
-    BatchToggle toggle(batch);
-    Engine engine;
-    EXPECT_EQ(engine.Load(text), "");
-    Engine::QueryAnswer answer = engine.Query("winning(mv0)(X)");
-    EXPECT_TRUE(answer.ok) << answer.error;
-    std::vector<std::string> out;
-    // Answer order is part of the contract too.
-    for (TermId atom : answer.answers) {
-      out.push_back(engine.store().ToString(atom));
+TEST_P(ColumnJoinPropertyTest, ComponentWfsMatchesGolden) {
+  const std::pair<std::string, std::string> programs[] = {
+      {"game_cyclic", testing::RandomGameProgram(GetParam(), /*cyclic=*/true)},
+      {"normal", testing::RandomRangeRestrictedNormalProgram(GetParam())}};
+  for (const auto& [name, text] : programs) {
+    for (size_t threads : kThreadCounts) {
+      EXPECT_EQ(testing::ComponentWfsTranscript(text, threads),
+                GoldenRecord(Golden(), Key("component_wfs", name)))
+          << name << " threads " << threads << "\n" << text;
     }
-    return out;
-  };
-  EXPECT_EQ(answers(true), answers(false)) << text;
+  }
+}
+
+TEST_P(ColumnJoinPropertyTest, MagicQueryMatchesGolden) {
+  // Answer order is part of the contract too.
+  const std::string text =
+      testing::RandomGameProgram(GetParam(), /*cyclic=*/true);
+  for (size_t threads : kThreadCounts) {
+    EXPECT_EQ(testing::MagicQueryTranscript(text, "winning(mv0)(X)", threads),
+              GoldenRecord(Golden(), Key("magic", "")))
+        << "threads " << threads << "\n" << text;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnJoinPropertyTest,

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "random_programs.h"
 #include "src/eval/bottomup.h"
@@ -18,6 +19,13 @@ namespace {
 class FactBaseTest : public ::testing::Test {
  protected:
   TermId T(std::string_view text) { return *ParseTerm(store_, text); }
+  // A non-frozen probe's candidates, copied out of the scratch buffer.
+  std::vector<TermId> Probe(const FactBase& facts, std::string_view pattern) {
+    std::vector<TermId> scratch;
+    std::span<const TermId> candidates =
+        facts.CandidatesBatch(store_, T(pattern), &scratch, /*frozen=*/false);
+    return {candidates.begin(), candidates.end()};
+  }
   TermStore store_;
 };
 
@@ -41,14 +49,14 @@ TEST_F(FactBaseTest, NameIndexDiscriminatesCompoundNames) {
   EXPECT_TRUE(facts.WithName(T("winning(m3)")).empty());
 }
 
-TEST_F(FactBaseTest, CandidatesUsesIndexForGroundNames) {
+TEST_F(FactBaseTest, CandidatesUseNameBucketForGroundNames) {
   FactBase facts;
   facts.Insert(store_, T("e(1,2)"));
   facts.Insert(store_, T("f(1,2)"));
   // Ground-named pattern: only the e bucket.
-  EXPECT_EQ(facts.Candidates(store_, T("e(X,Y)")).size(), 1u);
+  EXPECT_EQ(Probe(facts, "e(X,Y)").size(), 1u);
   // Variable-named pattern: the whole store.
-  EXPECT_EQ(facts.Candidates(store_, T("G(X,Y)")).size(), 2u);
+  EXPECT_EQ(Probe(facts, "G(X,Y)").size(), 2u);
 }
 
 TEST_F(FactBaseTest, SymbolAtomsIndexUnderThemselves) {
@@ -88,16 +96,16 @@ TEST_F(FactBaseTest, EraseBatchCompactsPreservingInsertionOrder) {
   EXPECT_EQ(facts.facts().back(), T("e(2,3)"));
 }
 
-TEST_F(FactBaseTest, EraseInvalidatesArgumentIndex) {
+TEST_F(FactBaseTest, EraseInvalidatesKeyColumns) {
   FactBase facts;
   for (int i = 0; i < 8; ++i) {
     facts.Insert(store_, T("q(" + std::to_string(i) + ",x)"));
   }
-  // Warm the legacy argument-discrimination index, then erase through it.
-  EXPECT_EQ(facts.Candidates(store_, T("q(3,Y)")).size(), 1u);
+  // Warm the first-argument key column, then erase through it.
+  EXPECT_EQ(Probe(facts, "q(3,Y)").size(), 1u);
   EXPECT_TRUE(facts.Erase(store_, T("q(3,x)")));
-  EXPECT_TRUE(facts.Candidates(store_, T("q(3,Y)")).empty());
-  EXPECT_EQ(facts.Candidates(store_, T("q(5,Y)")).size(), 1u);
+  EXPECT_TRUE(Probe(facts, "q(3,Y)").empty());
+  EXPECT_EQ(Probe(facts, "q(5,Y)").size(), 1u);
 }
 
 // Regression: the columnar key columns are append-watermarked against
@@ -217,31 +225,31 @@ TEST_F(FactBaseTest, GroundPatternIsMembershipCheck) {
                            std::to_string(i + 1) + ")"));
   }
   // Present: exactly the one fact. Absent: empty, not the name bucket.
-  EXPECT_EQ(facts.Candidates(store_, T("e(n3,n4)")),
-            (std::vector<TermId>{T("e(n3,n4)")}));
-  EXPECT_TRUE(facts.Candidates(store_, T("e(n4,n3)")).empty());
+  EXPECT_EQ(Probe(facts, "e(n3,n4)"), (std::vector<TermId>{T("e(n3,n4)")}));
+  EXPECT_TRUE(Probe(facts, "e(n4,n3)").empty());
 }
 
-TEST_F(FactBaseTest, ArgumentIndexPrunesBoundPositions) {
+TEST_F(FactBaseTest, KeyColumnsPruneBoundPositions) {
   FactBase facts;
   for (int i = 0; i < 100; ++i) {
     facts.Insert(store_, T("e(n" + std::to_string(i) + ",n" +
                            std::to_string(i + 1) + ")"));
   }
   // First argument bound: a chain node has exactly one successor.
-  EXPECT_EQ(facts.Candidates(store_, T("e(n42,Y)")).size(), 1u);
+  EXPECT_EQ(Probe(facts, "e(n42,Y)").size(), 1u);
   // Second argument bound: one predecessor.
-  EXPECT_EQ(facts.Candidates(store_, T("e(X,n42)")).size(), 1u);
+  EXPECT_EQ(Probe(facts, "e(X,n42)").size(), 1u);
   // Nothing bound: the whole name bucket.
-  EXPECT_EQ(facts.Candidates(store_, T("e(X,Y)")).size(), 100u);
+  EXPECT_EQ(Probe(facts, "e(X,Y)").size(), 100u);
   // A bound argument no fact carries: provably empty.
-  EXPECT_TRUE(facts.Candidates(store_, T("e(zzz,Y)")).empty());
+  EXPECT_TRUE(Probe(facts, "e(zzz,Y)").empty());
 }
 
-// The indexed Candidates must yield exactly the match set of a full scan,
-// across compound HiLog names, nested arguments, and variable-name
-// literals. This is the contract every evaluator's join relies on.
-TEST_F(FactBaseTest, IndexedCandidatesAgreeWithFullScanOnRandomFacts) {
+// Probed candidates must yield exactly the match sequence of a full scan
+// of the base in insertion order, across compound HiLog names, nested
+// arguments, and variable-name literals. This is the contract every
+// evaluator's join relies on.
+TEST_F(FactBaseTest, ProbedCandidatesAgreeWithFullScanOnRandomFacts) {
   for (unsigned seed = 0; seed < 25; ++seed) {
     FactBase facts;
     for (const std::string& text : testing::RandomHiLogFacts(seed, 120)) {
@@ -250,17 +258,15 @@ TEST_F(FactBaseTest, IndexedCandidatesAgreeWithFullScanOnRandomFacts) {
     for (const std::string& text :
          testing::RandomHiLogPatterns(seed * 31 + 7, 40)) {
       TermId pattern = T(text);
-      auto matches = [&](const std::vector<TermId>& candidates) {
-        std::set<TermId> out;
+      auto matches = [&](std::span<const TermId> candidates) {
+        std::vector<TermId> out;
         for (TermId fact : candidates) {
           Substitution subst;
-          if (MatchInto(store_, pattern, fact, &subst)) out.insert(fact);
+          if (MatchInto(store_, pattern, fact, &subst)) out.push_back(fact);
         }
         return out;
       };
-      std::set<TermId> via_index = matches(facts.Candidates(store_, pattern));
-      std::set<TermId> via_scan = matches(facts.facts());
-      EXPECT_EQ(via_index, via_scan)
+      EXPECT_EQ(matches(Probe(facts, text)), matches(facts.facts()))
           << "pattern " << text << " seed " << seed;
     }
   }

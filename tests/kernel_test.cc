@@ -1,9 +1,9 @@
-// Compiled-vs-legacy equivalence for the join-kernel executor
-// (src/eval/kernel.h): with rule compilation on, every evaluator must
-// produce byte-identical answers — same atoms, same order — as the
-// legacy per-round join loops, across thread counts and across delta
-// publishes with retraction. The kernel cache must also demonstrably
-// serve the second round of a semi-naive fixpoint.
+// Golden equivalence for the join-kernel executor (src/eval/kernel.h):
+// every evaluator must reproduce the transcripts in
+// tests/golden/kernel_equivalence.txt byte for byte — same atoms, same
+// order — at one and at four evaluation threads, across delta publishes
+// with retraction. The kernel cache must also demonstrably serve the
+// second round of a semi-naive fixpoint.
 
 #include "src/eval/kernel.h"
 
@@ -12,142 +12,74 @@
 #include <string>
 #include <vector>
 
-#include "src/core/engine.h"
-#include "src/eval/bottomup.h"
-#include "src/lang/parser.h"
-#include "src/transform/universal.h"
+#include "golden.h"
+#include "join_transcripts.h"
 #include "random_programs.h"
+#include "src/core/engine.h"
+#include "src/lang/parser.h"
+#include "src/obs/metrics.h"
 
 namespace hilog {
 namespace {
 
-// Restores the process-wide compilation switch on scope exit so a failing
-// assertion cannot leak "off" into unrelated tests.
-class ScopedCompileRules {
- public:
-  explicit ScopedCompileRules(bool on) : prev_(RuleCompilationEnabled()) {
-    SetRuleCompilationEnabled(on);
-  }
-  ~ScopedCompileRules() { SetRuleCompilationEnabled(prev_); }
+using testing::ChainTc;
+using testing::GoldenRecord;
 
- private:
-  bool prev_;
-};
-
-std::string ChainTc(int n) {
-  std::string text;
-  for (int i = 0; i < n; ++i) {
-    text += "e(n" + std::to_string(i) + ",n" + std::to_string(i + 1) +
-            ").\n";
-  }
-  text += "t(X,Y) :- e(X,Y).\nt(X,Z) :- t(X,Y), e(Y,Z).\n";
-  return text;
+const testing::GoldenFile& Golden() {
+  static const testing::GoldenFile golden =
+      testing::ReadGolden("kernel_equivalence.txt");
+  return golden;
 }
 
-// One full engine pass rendered to a transcript: the well-founded model
-// in enumeration order, the stratified model when the program admits
-// one, each magic query's answers in derivation order, and (for definite
-// programs) the tabled answers. Any ordering difference between the
-// compiled and legacy paths shows up as a transcript diff.
-std::string Transcript(bool compiled, size_t threads,
-                       const std::string& text,
-                       const std::vector<std::string>& queries,
-                       const std::string& tabled_goal = "") {
-  ScopedCompileRules guard(compiled);
-  EngineOptions options;
-  options.bottomup.eval_threads = threads;
-  Engine engine(options);
-  std::string out;
-  std::string error = engine.Load(text);
-  if (!error.empty()) return "parse error: " + error;
+constexpr size_t kThreadCounts[] = {1, 4};
 
-  Engine::WfsAnswer wfs = engine.SolveWellFounded();
-  out += "wfs ok=" + std::to_string(wfs.ok) +
-         " exact=" + std::to_string(wfs.exact) +
-         " ground=" + std::to_string(wfs.ground_rules) + "\n";
-  for (TermId atom : wfs.model.TrueAtoms()) {
-    out += "  " + engine.store().ToString(atom) + "\n";
-  }
-  for (TermId atom : wfs.model.UndefinedAtoms()) {
-    out += "  undef " + engine.store().ToString(atom) + "\n";
-  }
-
-  StratifiedEvalResult stratified = engine.SolveStratified();
-  out += "stratified ok=" + std::to_string(stratified.ok) + "\n";
-  if (stratified.ok) {
-    for (TermId atom : stratified.facts.facts()) {
-      out += "  " + engine.store().ToString(atom) + "\n";
-    }
-  }
-
-  for (const std::string& q : queries) {
-    Engine::QueryAnswer answer = engine.Query(q);
-    out += "query " + q + " ok=" + std::to_string(answer.ok) +
-           " status=" + std::to_string(static_cast<int>(answer.ground_status)) +
-           "\n";
-    for (TermId atom : answer.answers) {
-      out += "  " + engine.store().ToString(atom) + "\n";
-    }
-  }
-
-  if (!tabled_goal.empty()) {
-    TabledResult tabled = engine.ProveTabled(tabled_goal);
-    out += "tabled " + tabled_goal +
-           " complete=" + std::to_string(tabled.complete) + "\n";
-    for (TermId atom : tabled.answers) {
-      out += "  " + engine.store().ToString(atom) + "\n";
-    }
-  }
-  return out;
-}
-
-TEST(KernelEquivalenceTest, GroundNormalProgramsMatchLegacy) {
+TEST(KernelEquivalenceTest, GroundNormalProgramsMatchGolden) {
   for (unsigned seed = 0; seed < 25; ++seed) {
     const std::string text = testing::RandomGroundProgram(seed);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      EXPECT_EQ(Transcript(/*compiled=*/true, threads, text, {"a0", "a1"}),
-                Transcript(/*compiled=*/false, threads, text, {"a0", "a1"}))
-          << "seed " << seed << " threads " << threads << "\n" << text;
+    const std::string key = "ground_normal seed=" + std::to_string(seed);
+    for (size_t threads : kThreadCounts) {
+      EXPECT_EQ(testing::EngineTranscript(threads, text, {"a0", "a1"}),
+                GoldenRecord(Golden(), key))
+          << key << " threads " << threads << "\n" << text;
     }
   }
 }
 
-TEST(KernelEquivalenceTest, NormalRangeRestrictedProgramsMatchLegacy) {
+TEST(KernelEquivalenceTest, NormalRangeRestrictedProgramsMatchGolden) {
   for (unsigned seed = 0; seed < 25; ++seed) {
     const std::string text =
         testing::RandomRangeRestrictedNormalProgram(seed);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      EXPECT_EQ(
-          Transcript(/*compiled=*/true, threads, text, {"p(a)", "q(X)"}),
-          Transcript(/*compiled=*/false, threads, text, {"p(a)", "q(X)"}))
-          << "seed " << seed << " threads " << threads << "\n" << text;
+    const std::string key =
+        "normal_range_restricted seed=" + std::to_string(seed);
+    for (size_t threads : kThreadCounts) {
+      EXPECT_EQ(testing::EngineTranscript(threads, text, {"p(a)", "q(X)"}),
+                GoldenRecord(Golden(), key))
+          << key << " threads " << threads << "\n" << text;
     }
   }
 }
 
-TEST(KernelEquivalenceTest, HiLogGameProgramsMatchLegacy) {
+TEST(KernelEquivalenceTest, HiLogGameProgramsMatchGolden) {
   for (unsigned seed = 0; seed < 10; ++seed) {
     for (bool cyclic : {false, true}) {
       const std::string text = testing::RandomGameProgram(seed, cyclic);
-      const std::vector<std::string> queries = {"winning(mv0)(X)",
-                                                "winning(mv0)(n0)"};
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        EXPECT_EQ(Transcript(/*compiled=*/true, threads, text, queries),
-                  Transcript(/*compiled=*/false, threads, text, queries))
-            << "seed " << seed << " cyclic " << cyclic << " threads "
-            << threads << "\n" << text;
+      const std::string key = "hilog_game seed=" + std::to_string(seed) +
+                              " cyclic=" + std::to_string(cyclic);
+      for (size_t threads : kThreadCounts) {
+        EXPECT_EQ(testing::EngineTranscript(
+                      threads, text, {"winning(mv0)(X)", "winning(mv0)(n0)"}),
+                  GoldenRecord(Golden(), key))
+            << key << " threads " << threads << "\n" << text;
       }
     }
   }
 }
 
-TEST(KernelEquivalenceTest, TransitiveClosureWithTablingMatchesLegacy) {
-  const std::string text = ChainTc(16);
-  const std::vector<std::string> queries = {"t(n0,X)", "t(X,n16)"};
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    EXPECT_EQ(
-        Transcript(/*compiled=*/true, threads, text, queries, "t(n0,X)"),
-        Transcript(/*compiled=*/false, threads, text, queries, "t(n0,X)"))
+TEST(KernelEquivalenceTest, TransitiveClosureWithTablingMatchesGolden) {
+  for (size_t threads : kThreadCounts) {
+    EXPECT_EQ(testing::EngineTranscript(threads, ChainTc(16),
+                                        {"t(n0,X)", "t(X,n16)"}, "t(n0,X)"),
+              GoldenRecord(Golden(), "tc_tabling"))
         << "threads " << threads;
   }
 }
@@ -155,57 +87,22 @@ TEST(KernelEquivalenceTest, TransitiveClosureWithTablingMatchesLegacy) {
 // The universal call/u_i encoding (Section 2) buries every joining term
 // inside call(...) — the workload where kernel probes must use the
 // sub-argument key paths. Compare the least models fact by fact.
-TEST(KernelEquivalenceTest, UniversalEncodingMatchesLegacy) {
-  auto run = [](bool compiled) {
-    ScopedCompileRules guard(compiled);
-    TermStore store;
-    auto parsed = ParseProgram(store, ChainTc(12));
-    EXPECT_TRUE(parsed.ok()) << parsed.error;
-    UniversalTransform u(store);
-    Program encoded = u.EncodeProgram(*parsed);
-    BottomUpResult result =
-        LeastModelOfPositiveProjection(store, encoded, BottomUpOptions());
-    std::string out;
-    for (TermId atom : result.facts.facts()) {
-      out += store.ToString(atom) + "\n";
-    }
-    return out;
-  };
-  const std::string compiled = run(true);
-  EXPECT_EQ(compiled, run(false));
-  EXPECT_NE(compiled.find("call(u3(t,n0,n12))"), std::string::npos);
+TEST(KernelEquivalenceTest, UniversalEncodingMatchesGolden) {
+  const std::string encoded = testing::UniversalEncodingText(ChainTc(12));
+  for (size_t threads : kThreadCounts) {
+    const std::string model = testing::LeastModelTranscript(encoded, threads);
+    EXPECT_EQ(model, GoldenRecord(Golden(), "universal_tc"))
+        << "threads " << threads;
+    EXPECT_NE(model.find("call(u3(t,n0,n12))"), std::string::npos);
+  }
 }
 
 // Delta publishes with retraction: the maintenance solve after an
-// ApplyDelta must agree byte for byte, and the kernel cache must survive
-// the publish (only changed rules recompile).
-TEST(KernelEquivalenceTest, DeltaPublishWithRetractionMatchesLegacy) {
-  auto run = [](bool compiled, size_t threads) {
-    ScopedCompileRules guard(compiled);
-    EngineOptions options;
-    options.bottomup.eval_threads = threads;
-    Engine engine(options);
-    std::string out;
-    EXPECT_EQ(engine.Load(ChainTc(12) + "iso(a).\niso2(X) :- iso(X).\n"),
-              "");
-    auto render = [&](const Engine::WfsAnswer& answer) {
-      out += "solve ok=" + std::to_string(answer.ok) + "\n";
-      for (TermId atom : answer.model.TrueAtoms()) {
-        out += "  " + engine.store().ToString(atom) + "\n";
-      }
-    };
-    render(engine.SolveWellFounded());
-    EXPECT_EQ(engine.ApplyDelta("e(n12,n13).", "e(n3,n4).", nullptr), "");
-    render(engine.SolveWellFounded());
-    Engine::QueryAnswer q = engine.Query("t(n0,X)");
-    EXPECT_TRUE(q.ok) << q.error;
-    for (TermId atom : q.answers) {
-      out += "  q " + engine.store().ToString(atom) + "\n";
-    }
-    return out;
-  };
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    EXPECT_EQ(run(true, threads), run(false, threads))
+// ApplyDelta must reproduce the golden transcript byte for byte.
+TEST(KernelEquivalenceTest, DeltaPublishWithRetractionMatchesGolden) {
+  for (size_t threads : kThreadCounts) {
+    EXPECT_EQ(testing::DeltaPublishTranscript(threads),
+              GoldenRecord(Golden(), "delta_publish"))
         << "threads " << threads;
   }
 }
@@ -214,7 +111,6 @@ TEST(KernelEquivalenceTest, DeltaPublishWithRetractionMatchesLegacy) {
 // every (rule, delta position, order) the fixpoint asks for is already
 // lowered, so a multi-round evaluation must record cache hits.
 TEST(KernelCacheTest, SecondRoundOfFixpointHitsCache) {
-  ScopedCompileRules guard(true);
   Engine engine;
   ASSERT_EQ(engine.Load(ChainTc(16)), "");
   ASSERT_TRUE(engine.SolveWellFounded().ok);
@@ -222,20 +118,7 @@ TEST(KernelCacheTest, SecondRoundOfFixpointHitsCache) {
   EXPECT_GT(m.value(obs::Counter::kKernelProgramsCompiled), 0u);
   EXPECT_GT(m.value(obs::Counter::kKernelCacheHits), 0u);
   EXPECT_GT(m.value(obs::Counter::kKernelOpsExecuted), 0u);
-  EXPECT_EQ(m.value(obs::Counter::kKernelFallbacks), 0u);
   EXPECT_GT(engine.kernel_cache().size(), 0u);
-}
-
-// Legacy mode records no kernel activity at all.
-TEST(KernelCacheTest, LegacyModeRecordsNoKernelCounters) {
-  ScopedCompileRules guard(false);
-  Engine engine;
-  ASSERT_EQ(engine.Load(ChainTc(8)), "");
-  ASSERT_TRUE(engine.SolveWellFounded().ok);
-  const obs::MetricsRegistry& m = engine.metrics();
-  EXPECT_EQ(m.value(obs::Counter::kKernelProgramsCompiled), 0u);
-  EXPECT_EQ(m.value(obs::Counter::kKernelCacheHits), 0u);
-  EXPECT_EQ(m.value(obs::Counter::kKernelOpsExecuted), 0u);
 }
 
 // A forked engine replays compiled programs from its cloned cache. A
@@ -244,7 +127,6 @@ TEST(KernelCacheTest, LegacyModeRecordsNoKernelCounters) {
 // re-evaluation with a new fact: the unchanged rules must then run from
 // the cloned kernel cache without compiling anything new.
 TEST(KernelCacheTest, ForkClonesCompiledRules) {
-  ScopedCompileRules guard(true);
   Engine engine;
   ASSERT_EQ(engine.Load(ChainTc(8)), "");
   ASSERT_TRUE(engine.SolveWellFounded().ok);
@@ -259,6 +141,97 @@ TEST(KernelCacheTest, ForkClonesCompiledRules) {
   // Every rule the extended fixpoint ran was already lowered in the
   // parent; only the new fact's entry is fresh.
   EXPECT_EQ(fork->metrics().value(obs::Counter::kKernelProgramsCompiled), 0u);
+}
+
+// Fully ground bodies run uncompiled: one membership probe per positive
+// literal — the delta literal first, then by arity (descending) and
+// bucket size (ascending) — then the negative checks, with nothing
+// compiled. A failed probe ends the body, so the probe count shows the
+// order.
+TEST(KernelGroundBodyTest, ProbesInPlannerOrderWithoutCompiling) {
+  TermStore store;
+  auto T = [&](const char* text) { return *ParseTerm(store, text); };
+  auto parsed =
+      ParseProgram(store, "h :- flag, g(a), k(a), m(a,b), ~blocked.\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const Rule& rule = parsed->rules[0];
+  ASSERT_FALSE(WorthCompiling(store, rule));
+  FactBase facts;
+  for (const char* f : {"flag", "m(b,c)", "g(b)", "g(c)", "k(z)"}) {
+    facts.Insert(store, T(f));
+  }
+  KernelContext ctx;
+  ctx.facts = &facts;
+  ctx.neg = &facts;
+  int fired = 0;
+  auto sink = [&](const Substitution& theta) {
+    EXPECT_EQ(theta.size(), 0u);
+    ++fired;
+    return true;
+  };
+  auto probes = [&](size_t delta_pos) {
+    obs::MetricsRegistry metrics;
+    obs::ScopedObsContext scope(&metrics);
+    EXPECT_TRUE(RunGroundBody(store, rule, ctx, delta_pos, sink));
+    EXPECT_EQ(metrics.value(obs::Counter::kKernelOpsExecuted), 0u);
+    return metrics.value(obs::Counter::kIndexProbes);
+  };
+  // m(a,b) has the highest arity and misses first.
+  EXPECT_EQ(probes(SIZE_MAX), 1u);
+  facts.Insert(store, T("m(a,b)"));
+  facts.Insert(store, T("g(a)"));
+  // Among the arity-1 literals k (one fact) precedes g (three): k(a)
+  // misses before g(a) is probed.
+  EXPECT_EQ(probes(SIZE_MAX), 2u);
+  EXPECT_EQ(fired, 0);
+  facts.Insert(store, T("k(a)"));
+  EXPECT_EQ(probes(SIZE_MAX), 4u);
+  EXPECT_EQ(fired, 1);
+  // The delta literal probes first, against the delta: flag is not in it.
+  FactBase delta;
+  delta.Insert(store, T("m(b,c)"));
+  ctx.delta = &delta;
+  EXPECT_EQ(probes(/*delta_pos=*/0), 0u);
+  delta.Insert(store, T("flag"));
+  EXPECT_EQ(probes(/*delta_pos=*/0), 4u);
+  EXPECT_EQ(fired, 2);
+  // A settled negative literal blocks the firing.
+  facts.Insert(store, T("blocked"));
+  EXPECT_EQ(probes(SIZE_MAX), 4u);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(KernelGroundBodyTest, GroundProgramsLeaveTheCacheEmpty) {
+  // A ground win chain for the well-founded solve and a ground layer
+  // under stratified negation for the stratified fixpoint.
+  std::string chain;
+  std::string layer;
+  for (int i = 0; i < 16; ++i) {
+    const std::string x = std::to_string(i);
+    const std::string y = std::to_string(i + 1);
+    const std::string move = "m(n" + x + ",n" + y + ")";
+    chain += "w(n" + x + ") :- " + move + ", ~w(n" + y + ").\n";
+    chain += move + ".\n";
+    layer += "p(n" + x + ") :- " + move + ", ~q(n" + x + ").\n";
+    layer += move + ".\n";
+    if (i % 2 == 0) layer += "q(n" + x + ").\n";
+  }
+  for (bool stratified : {false, true}) {
+    Engine engine;
+    ASSERT_EQ(engine.Load(stratified ? layer : chain), "");
+    if (stratified) {
+      StratifiedEvalResult result = engine.SolveStratified();
+      ASSERT_TRUE(result.ok) << result.error;
+      EXPECT_EQ(result.facts.size(), 16u + 8u + 8u);
+    } else {
+      ASSERT_TRUE(engine.SolveWellFounded().ok);
+    }
+    const obs::MetricsRegistry& m = engine.metrics();
+    EXPECT_GT(m.value(obs::Counter::kIndexProbes), 0u) << stratified;
+    EXPECT_EQ(m.value(obs::Counter::kKernelProgramsCompiled), 0u);
+    EXPECT_EQ(m.value(obs::Counter::kKernelOpsExecuted), 0u);
+    EXPECT_EQ(engine.kernel_cache().size(), 0u);
+  }
 }
 
 TEST(KernelExplainTest, DumpsOneProgramPerRule) {

@@ -6,16 +6,20 @@
 // sequential encoding.
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -724,6 +728,11 @@ class TestClient {
     connected_ = fd_ >= 0 &&
                  ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
                            sizeof(addr)) == 0;
+    // A server that never answers fails the test instead of hanging it.
+    timeval timeout{60, 0};
+    if (fd_ >= 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    }
   }
   ~TestClient() {
     if (fd_ >= 0) ::close(fd_);
@@ -732,13 +741,23 @@ class TestClient {
 
   // Sends one line, returns the one response line (without '\n').
   std::string RoundTrip(const std::string& line) {
-    std::string out = line + "\n";
+    if (!SendRaw(line + "\n")) return "<send failed>";
+    return ReadLine();
+  }
+
+  // Sends bytes as they are; false on a send error.
+  bool SendRaw(std::string_view data) {
     size_t sent = 0;
-    while (sent < out.size()) {
-      ssize_t n = ::send(fd_, out.data() + sent, out.size() - sent, 0);
-      if (n <= 0) return "<send failed>";
+    while (sent < data.size()) {
+      ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent, 0);
+      if (n <= 0) return false;
       sent += static_cast<size_t>(n);
     }
+    return true;
+  }
+
+  // Reads one response line (without '\n').
+  std::string ReadLine() {
     while (buffer_.find('\n') == std::string::npos) {
       char chunk[4096];
       ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -749,6 +768,12 @@ class TestClient {
     std::string response = buffer_.substr(0, nl);
     buffer_.erase(0, nl + 1);
     return response;
+  }
+
+  // True once the server has closed its side and nothing is left unread.
+  bool AtEof() {
+    char byte;
+    return buffer_.empty() && ::recv(fd_, &byte, 1, 0) == 0;
   }
 
  private:
@@ -917,6 +942,62 @@ TEST(LineServerTest, PublishDeltaOverWire) {
   EXPECT_NE(bad.find("\"status\":\"error\""), std::string::npos) << bad;
   EXPECT_EQ(client.RoundTrip(R"js({"op":"ping"})js"),
             R"js({"status":"ok","epoch":2})js");
+}
+
+// Open descriptors of this process, by listing /proc/self/fd (the
+// listing's own descriptor is counted every time, so it cancels out).
+size_t OpenFdCount() {
+  size_t count = 0;
+  if (DIR* dir = ::opendir("/proc/self/fd")) {
+    while (::readdir(dir) != nullptr) ++count;
+    ::closedir(dir);
+  }
+  return count;
+}
+
+// Finished connections are reaped while the server runs: after many
+// sequential clients the process holds no more descriptors than before.
+TEST(LineServerTest, ReapsFinishedConnections) {
+  ServerFixture fixture("", /*threads=*/2);
+  const size_t baseline = OpenFdCount();
+  ASSERT_GT(baseline, 0u);
+  for (int i = 0; i < 64; ++i) {
+    TestClient client(fixture.server->port());
+    ASSERT_TRUE(client.connected()) << i;
+    ASSERT_EQ(client.RoundTrip(R"js({"op":"ping"})js"),
+              R"js({"status":"ok","epoch":0})js");
+  }
+  // The acceptor reaps at least every 200 ms.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  size_t open = OpenFdCount();
+  while (open != baseline && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    open = OpenFdCount();
+  }
+  EXPECT_EQ(open, baseline);
+}
+
+// A request line over the cap gets an error response and its connection
+// closes; the server keeps answering new connections.
+TEST(LineServerTest, OverlongRequestLineIsRejected) {
+  ServerFixture fixture("", /*threads=*/2);
+  {
+    TestClient client(fixture.server->port());
+    ASSERT_TRUE(client.connected());
+    // Exactly one byte over the cap and no newline: the server has read
+    // everything sent when it rejects the line.
+    ASSERT_TRUE(client.SendRaw(
+        std::string(LineServer::kMaxRequestLineBytes + 1, 'x')));
+    const std::string got = client.ReadLine();
+    EXPECT_NE(got.find("\"status\":\"error\""), std::string::npos) << got;
+    EXPECT_NE(got.find("request line exceeds"), std::string::npos) << got;
+    EXPECT_TRUE(client.AtEof());
+  }
+  TestClient fresh(fixture.server->port());
+  ASSERT_TRUE(fresh.connected());
+  EXPECT_EQ(fresh.RoundTrip(R"js({"op":"ping"})js"),
+            R"js({"status":"ok","epoch":0})js");
 }
 
 TEST(LineServerTest, ShutdownOpStopsServer) {
