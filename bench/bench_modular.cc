@@ -1,7 +1,9 @@
 // E17/E18: cost of the Figure 1 decision procedure (modular
 // stratification for HiLog) as game size, game count, and component
 // structure grow; plus the normal-program checker (Definition 6.4) for
-// comparison.
+// comparison. The BM_Figure1_* rows time the literal procedure; the
+// AnalyzeThenSolve row times the engine's text-to-model sequence, where
+// Analyze reads the verdict off its own well-founded solve.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +11,7 @@
 
 #include "workloads.h"
 #include "src/analysis/modular.h"
+#include "src/core/engine.h"
 #include "src/lang/parser.h"
 
 namespace hilog {
@@ -71,6 +74,29 @@ void BM_Figure1_SharedWinChains(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * chains * length);
 }
 BENCHMARK(BM_Figure1_SharedWinChains)->Args({8, 16})->Args({64, 128});
+
+void BM_AnalyzeThenSolve_Games(benchmark::State& state) {
+  // Load -> Analyze -> SolveWellFounded on `games` Example 6.3 games of
+  // 64 positions: Analyze solves once and the solve after it replays.
+  const int games = static_cast<int>(state.range(0));
+  const std::string text = bench::HiLogGameProgram(games, 64);
+  for (auto _ : state) {
+    auto engine = std::make_unique<Engine>();
+    engine->Load(text);
+    AnalysisReport report = engine->Analyze();
+    Engine::WfsAnswer answer = engine->SolveWellFounded();
+    benchmark::DoNotOptimize(report.modularly_stratified);
+    benchmark::DoNotOptimize(answer.ground_rules);
+    state.PauseTiming();
+    engine.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * games);
+}
+BENCHMARK(BM_AnalyzeThenSolve_Games)
+    ->Arg(8)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NormalChecker_Layered(benchmark::State& state) {
   // Definition 6.4 on a wide stratified program: many singleton

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "src/analysis/dependency.h"
 #include "src/analysis/range_restriction.h"
@@ -310,6 +312,102 @@ ModularResult CheckModularHiLog(TermStore& store, const Program& program,
 
   result.modularly_stratified = true;
   return result;
+}
+
+namespace {
+
+size_t SaturatingMul(size_t a, size_t b) {
+  return b != 0 && a > SIZE_MAX / b ? SIZE_MAX : a * b;
+}
+
+size_t SaturatingAdd(size_t a, size_t b) {
+  return a > SIZE_MAX - b ? SIZE_MAX : a + b;
+}
+
+}  // namespace
+
+bool Figure1FitsSolve(TermStore& store, const Program& program,
+                      const ModularOptions& options,
+                      const SchedulerCache& cache, size_t ground_count) {
+  if (options.leftmost_only_edges || cache.plan == nullptr) return false;
+  const SchedulerPlan& plan = *cache.plan;
+  const SchedulerPlan::Shape& shape = *plan.shape;
+  if (!shape.exact) return false;
+
+  // Rounds: a component settles at most |members| rounds after its lower
+  // names, and guard instances surface only after round 1.
+  std::vector<size_t> widest;
+  for (const auto& comp : plan.components) {
+    if (widest.size() <= comp->depth) widest.resize(comp->depth + 1, 0);
+    widest[comp->depth] =
+        std::max(widest[comp->depth], comp->member_names.size());
+  }
+  size_t rounds = shape.instantiated ? 1 : 0;
+  for (size_t width : widest) rounds += width;
+  if (rounds > options.max_rounds) return false;
+
+  // Grounding: semi-naive rounds each derive a new fact, so both budgets
+  // bound the envelope.
+  if (ground_count >= options.bottomup.max_facts ||
+      ground_count > options.bottomup.max_rounds) {
+    return false;
+  }
+
+  // True atoms per name, which the reduction joins against.
+  std::unordered_map<TermId, size_t> relation;
+  size_t largest = 0;
+  for (const auto& comp : plan.components) {
+    if (comp->cache_key == kNoTerm) continue;
+    auto it = cache.components.find(comp->cache_key);
+    if (it == cache.components.end()) return false;
+    for (const ComponentCacheEntry::NamePublish& np : it->second->names) {
+      relation[np.name] = np.true_atoms.size();
+      largest = std::max(largest, np.true_atoms.size());
+    }
+  }
+  std::unordered_set<TermId> instance_names(shape.instance_head_names.begin(),
+                                            shape.instance_head_names.end());
+  TermId last_name = kNoTerm;  // Runs of facts share a name.
+  auto clashes = [&](TermId atom) {
+    TermId name = store.PredName(atom);
+    if (name == last_name) return false;
+    last_name = name;
+    return instance_names.count(name) > 0;
+  };
+  size_t items = 0;
+  for (const Rule& rule : program.rules) {
+    if (!instance_names.empty() && clashes(rule.head)) return false;
+    TermId head_name = store.PredName(rule.head);
+    size_t product = 1;
+    for (const Literal& lit : rule.body) {
+      if (lit.atom == kNoTerm) continue;
+      if (!instance_names.empty() && clashes(lit.atom)) return false;
+      if (!lit.positive() || store.IsGround(lit.atom)) continue;
+      TermId name = store.PredName(lit.atom);
+      // A literal on the head's own name is never resolved: the name
+      // settles only with the rule's component.
+      if (name == head_name) continue;
+      size_t matches = 0;
+      if (store.IsGround(name)) {
+        auto it = relation.find(name);
+        if (it != relation.end()) matches = it->second;
+      } else if (store.IsVariable(name)) {
+        matches = largest;
+      } else {
+        for (const auto& [other, count] : relation) {
+          Substitution unused;
+          if (count > matches && MatchInto(store, name, other, &unused)) {
+            matches = count;
+          }
+        }
+      }
+      product = SaturatingMul(product, std::max<size_t>(matches, 1));
+    }
+    items = SaturatingAdd(
+        items, SaturatingAdd(1, SaturatingMul(rule.body.size(), product)));
+    if (items > options.bottomup.max_facts) return false;
+  }
+  return true;
 }
 
 ModularResult CheckModularNormal(TermStore& store, const Program& program,

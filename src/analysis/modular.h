@@ -6,6 +6,7 @@
 
 #include "src/eval/bottomup.h"
 #include "src/eval/fact_base.h"
+#include "src/eval/scheduler.h"
 #include "src/lang/ast.h"
 #include "src/wfs/interpretation.h"
 
@@ -84,6 +85,35 @@ struct ModularResult {
 /// computing the well-founded model along the way.
 ModularResult CheckModularHiLog(TermStore& store, const Program& program,
                                 const ModularOptions& options);
+
+/// Whether Figure 1's verdict on `program` can be read off the scheduler
+/// solve that just filled `cache` (SolveWfsByComponents over `program`:
+/// ok, neither truncated nor cancelled, `ground_count` ground instances).
+/// When this holds and the solve is locally stratified, CheckModularHiLog
+/// accepts: every reduced component Figure 1 grounds is a sub-graph of
+/// one the solve tested (the settled model Figure 1 reduces against is
+/// the well-founded one, and its relevance envelope lies inside the
+/// solve's), and no other rejection can fire. The conditions, each ruling
+/// out one rejection:
+///   - the plan is exact and `leftmost_only_edges` is off, so Figure 1's
+///     name graph is a sub-graph of the plan's condensation;
+///   - no name the plan gives an instance of a variable-headed rule occurs
+///     as a ground predicate name in `program`, so Figure 1 cannot settle
+///     it in round 1 and then meet its rules (Example 6.5);
+///   - `max_rounds` covers the sum over plan depths of the widest
+///     component, plus the round guards take to instantiate;
+///   - every round's envelope, a subset of the solve's ground-instance
+///     heads, fits `bottomup.max_facts` and `bottomup.max_rounds`;
+///   - the reduction's worklist fits `bottomup.max_facts`: a rule with L
+///     body literals spawns at most 1 + L * prod(max(1, |relation|)) items
+///     over its positive literals on other names and non-ground atoms.
+/// The caller checks strong range restriction (the solve itself refuses
+/// aggregate and builtin literals). A solve that is not locally
+/// stratified decides nothing: the solve's instances are a superset of
+/// Figure 1's, so the literal procedure has the last word.
+bool Figure1FitsSolve(TermStore& store, const Program& program,
+                      const ModularOptions& options,
+                      const SchedulerCache& cache, size_t ground_count);
 
 /// Definition 6.4, specialized to normal programs: splits the predicate
 /// dependency graph into strongly connected components, processes them

@@ -161,13 +161,55 @@ AnalysisReport Engine::Analyze() {
   report.datahilog = IsDatahilog(store_, program_);
   report.stratified = IsStratified(store_, program_, nullptr);
   report.flounders = ProgramFlounders(store_, program_);
-  ModularResult modular = CheckModularHiLog(store_, program_, options_.modular);
-  report.modularly_stratified = modular.modularly_stratified;
-  report.modular_reason = modular.reason;
+  // Figure 1's verdict from the engine's own solve (Figure1FitsSolve
+  // says when that is exact), else from the literal procedure.
+  bool accepted_by_solve = false;
+  if (report.strongly_range_restricted) {
+    ComponentWfsResult solved;
+    {
+      obs::ScopedPhaseTimer solve_timer(obs::Phase::kSolveWfs);
+      solved = SolveByComponents();
+    }
+    accepted_by_solve =
+        solved.ok && !solved.truncated && !solved.cancelled &&
+        solved.locally_stratified &&
+        Figure1FitsSolve(store_, program_, options_.modular,
+                         scheduler_cache_, solved.ground_count);
+  }
+  if (accepted_by_solve) {
+    obs::Count(obs::Counter::kModularFromSolve);
+    report.modularly_stratified = true;
+  } else {
+    obs::Count(obs::Counter::kModularLiteralRuns);
+    ModularResult modular =
+        CheckModularHiLog(store_, program_, options_.modular);
+    report.modularly_stratified = modular.modularly_stratified;
+    report.modular_reason = modular.reason;
+  }
   if (report.datahilog) {
     report.datahilog_atom_bound = DatahilogAtomBound(store_, program_);
   }
   return report;
+}
+
+ComponentWfsResult Engine::SolveByComponents() {
+  // The well-founded answer only needs the model and the instance count,
+  // so skip materializing the union grounding — replayed components then
+  // cost atoms, not ground-rule copies.
+  ComponentWfsResult scheduled =
+      SolveWfsByComponents(store_, program_, options_.bottomup,
+                           &scheduler_cache_, /*need_ground=*/false);
+  if (scheduled.ok && maintenance_pending_) {
+    // This solve was the maintenance pass for a pending ApplyDelta:
+    // report its dirtiness frontier. (stats.components counts solved
+    // components only; replays increment components_reused.)
+    obs::Count(obs::Counter::kIncComponentsResolved,
+               scheduled.stats.components);
+    obs::Count(obs::Counter::kIncComponentsSkipped,
+               scheduled.stats.components_reused);
+    maintenance_pending_ = false;
+  }
+  return scheduled;
 }
 
 Engine::WfsAnswer Engine::SolveOnGround(const GroundProgram& ground,
@@ -199,12 +241,7 @@ Engine::WfsAnswer Engine::SolveWellFoundedWith(GrounderKind grounder) {
   obs::ScopedObsContext obs_ctx(MetricsSink(), TraceSink());
   obs::ScopedPhaseTimer timer(obs::Phase::kSolveWfs);
   if (grounder == GrounderKind::kRelevance) {
-    // The well-founded answer only needs the model and the instance
-    // count, so skip materializing the union grounding — replayed
-    // components then cost atoms, not ground-rule copies.
-    ComponentWfsResult scheduled =
-        SolveWfsByComponents(store_, program_, options_.bottomup,
-                             &scheduler_cache_, /*need_ground=*/false);
+    ComponentWfsResult scheduled = SolveByComponents();
     if (!scheduled.ok) {
       WfsAnswer answer;
       answer.ok = false;
@@ -219,16 +256,6 @@ Engine::WfsAnswer Engine::SolveWellFoundedWith(GrounderKind grounder) {
     answer.ground_rules = scheduled.ground_count;
     answer.model = std::move(scheduled.model);
     answer.sched = scheduled.stats;
-    if (maintenance_pending_) {
-      // This solve was the maintenance pass for a pending ApplyDelta:
-      // report its dirtiness frontier. (stats.components counts solved
-      // components only; replays increment components_reused.)
-      obs::Count(obs::Counter::kIncComponentsResolved,
-                 scheduled.stats.components);
-      obs::Count(obs::Counter::kIncComponentsSkipped,
-                 scheduled.stats.components_reused);
-      maintenance_pending_ = false;
-    }
     return answer;
   }
   Universe universe =

@@ -129,7 +129,14 @@ class Engine {
   /// Retracts ground facts: ApplyDelta with no additions.
   std::string Retract(std::string_view facts);
 
-  /// Classifies the loaded program.
+  /// Classifies the loaded program. For a strongly range-restricted
+  /// program, Figure 1's verdict comes from the engine's own relevance-path
+  /// well-founded solve (same options, cache and inc.* accounting as
+  /// SolveWellFounded) whenever Figure1FitsSolve says that solve decides
+  /// it; the solve fills the settled-component cache, so a following
+  /// SolveWellFounded replays every component. Otherwise, and whenever the
+  /// solve is not locally stratified, CheckModularHiLog runs. The counters
+  /// modular.from_solve and modular.literal_runs tell the two apart.
   AnalysisReport Analyze();
 
   /// Result of a well-founded computation at the engine level.
@@ -223,6 +230,10 @@ class Engine {
  private:
   WfsAnswer SolveOnGround(const GroundProgram& ground, GrounderKind kind,
                           bool exact, std::string notes);
+  /// The relevance-path solve over the scheduler cache. When it succeeds
+  /// with a delta pending it is that delta's maintenance pass and reports
+  /// the inc.components_* counters.
+  ComponentWfsResult SolveByComponents();
   std::string AppendProgram(std::string_view text, bool prewarm);
   /// Keeps the scheduler plan in step with program_ after rules at
   /// `added_from` and up were appended and the fact rules of `retracted`

@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 
+#include "src/analysis/range_restriction.h"
 #include "src/lang/printer.h"
 #include "src/term/unify.h"
 
@@ -217,6 +218,19 @@ AggregateEvalResult EvaluateWithAggregates(
             RuleToString(store, rule);
         return result;
       }
+    }
+  }
+  // A rule whose name variables no positive literal binds (Example 2.1's
+  // tc(G)(X,Y) :- G(X,Y)) rebinds them to every derived name, tc(tc(G))
+  // and on, so the naive inner rounds grow without end long before
+  // max_facts trips.
+  for (const Rule& rule : program.rules) {
+    if (!IsStronglyRangeRestrictedRule(store, rule)) {
+      result.error =
+          "the aggregate evaluator needs a strongly range-restricted "
+          "program (Definition 5.6): " +
+          RuleToString(store, rule);
+      return result;
     }
   }
 

@@ -169,6 +169,7 @@ GuardedProgram InstantiateGuardedNames(TermStore& store,
   }
 
   out.instantiated = true;
+  std::unordered_set<TermId> instance_heads;
   size_t next = 0;
   for (size_t r = 0; r < program.rules.size(); ++r) {
     const Rule& rule = program.rules[r];
@@ -178,6 +179,7 @@ GuardedProgram InstantiateGuardedNames(TermStore& store,
       continue;
     }
     const Rule& join = joins[next++];
+    const bool variable_head = !store.IsGround(store.PredName(rule.head));
     ForEachPositiveMatch(
         store, join, guard_facts,
         [&](const Substitution& theta) {
@@ -187,6 +189,10 @@ GuardedProgram InstantiateGuardedNames(TermStore& store,
           }
           out.program.rules.push_back(SubstituteRule(store, rule, theta));
           out.identity.push_back(id);
+          TermId name = store.PredName(out.program.rules.back().head);
+          if (variable_head && instance_heads.insert(name).second) {
+            out.instance_head_names.push_back(name);
+          }
           return true;
         },
         /*frozen_facts=*/true, kernel_cache);
@@ -229,6 +235,7 @@ std::shared_ptr<const SchedulerPlan> BuildPlan(TermStore& store,
   GuardedProgram guarded =
       InstantiateGuardedNames(store, program, kernel_cache);
   shape->instantiated = guarded.instantiated;
+  shape->instance_head_names = std::move(guarded.instance_head_names);
   const Program& planned = guarded.instantiated ? guarded.program : program;
   auto add_rule = [&](SchedulerPlan::Component* comp, size_t r) {
     if (guarded.instantiated) {
@@ -407,7 +414,8 @@ std::shared_ptr<const SchedulerPlan> PatchSchedulerPlan(
 }
 
 WfsResult ComputeWfsScc(const GroundProgram& ground, SchedulerStats* stats,
-                        bool count_model_atoms) {
+                        bool count_model_atoms,
+                        std::vector<TermId>* negative_cycles) {
   WfsResult result;
   AtomTable table;
   ground.CollectAtoms(&table);
@@ -549,6 +557,19 @@ WfsResult ComputeWfsScc(const GroundProgram& ground, SchedulerStats* stats,
       loop.neg.push_back(a);
       mini.Add(std::move(loop));
     }
+    if (negative_cycles != nullptr) {
+      // Local stratification is a property of `ground`'s graph, so the
+      // instances resolution just deleted count too.
+      bool negative_inside = false;
+      for (uint32_t r : rules_of[c]) {
+        for (TermId a : ground.rules[r].neg) {
+          negative_inside |= component_of[graph.Find(a)] == c;
+        }
+      }
+      if (negative_inside) {
+        negative_cycles->push_back(graph.node(members[c][0]));
+      }
+    }
 
     WfsResult sub = ComputeWfsAlternating(mini, /*count_model_atoms=*/false);
     result.iterations += sub.iterations;
@@ -609,6 +630,7 @@ struct BatchResult {
     std::vector<TermId> true_atoms;
     std::vector<TermId> undefined_atoms;
     size_t envelope_size = 0;
+    bool locally_stratified = true;
   };
   std::vector<PerComponent> comps;  // Parallel to the batch's plan list.
   SchedulerStats stats;
@@ -843,11 +865,19 @@ void SolveBatch(TermStore& store, const BottomUpOptions& options, bool exact,
     resolved.Add(std::move(loop));
   }
 
-  WfsResult sub =
-      ComputeWfsScc(resolved, &out->stats, /*count_model_atoms=*/false);
+  std::vector<TermId> negative_cycles;
+  WfsResult sub = ComputeWfsScc(resolved, &out->stats,
+                                /*count_model_atoms=*/false,
+                                &negative_cycles);
   if (sub.cancelled) {
     out->cancelled = true;
     return;
+  }
+  // An atom SCC never spans two components (no same-depth edges), and a
+  // loop-pinned import's own SCC belongs to the lower component.
+  for (TermId atom : negative_cycles) {
+    size_t j = member_index(store.PredName(atom));
+    if (j != SIZE_MAX) out->comps[j].locally_stratified = false;
   }
 
   // Split the settled atoms back out per component; loop-encoded imports
@@ -1160,6 +1190,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         undefined_count += entry.undefined_atoms.size();
         for (const NamePublish& np : entry.names) install_publish(np);
         result.envelope_size += entry.envelope_size;
+        result.locally_stratified &= entry.locally_stratified;
         obs::Count(obs::Counter::kSchedComponentsReused);
         ++result.stats.components_reused;
         continue;
@@ -1190,6 +1221,8 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       entry.lower_signature = lower_signature[i];
       entry.envelope_size = pc.envelope_size;
       result.envelope_size += pc.envelope_size;
+      entry.locally_stratified = pc.locally_stratified;
+      result.locally_stratified &= pc.locally_stratified;
       // Per-name publishes of this component, in first-publish order:
       // every true atom mixes before any undefined one, which is the
       // name_sig mixing order a cold solve produces.

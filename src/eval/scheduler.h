@@ -74,6 +74,10 @@ struct GuardedProgram {
   /// variable-named rules), whether or not its relation qualified. A fact
   /// delta on one of these can change the instances.
   std::vector<TermId> guard_names;
+  /// When instantiated: the distinct predicate names given to instances of
+  /// rules whose head name has a variable (winning(move1) for Example
+  /// 6.3), in first-instance order.
+  std::vector<TermId> instance_head_names;
 };
 
 GuardedProgram InstantiateGuardedNames(TermStore& store,
@@ -133,9 +137,14 @@ struct SchedulerStats {
 /// program. With `count_model_atoms` false the wfs.true_atoms /
 /// wfs.undefined_atoms counters and the atom-table gauge are left to the
 /// caller (the program-level scheduler reports totals once).
+///
+/// When `negative_cycles` is non-null it receives one atom of every cyclic
+/// SCC with a negative edge inside it, in settling order: `ground` is
+/// locally stratified exactly when it stays empty.
 WfsResult ComputeWfsScc(const GroundProgram& ground,
                         SchedulerStats* stats = nullptr,
-                        bool count_model_atoms = true);
+                        bool count_model_atoms = true,
+                        std::vector<TermId>* negative_cycles = nullptr);
 
 /// One settled predicate-level component, memoized for reuse across
 /// queries, incremental LoadMore, and delta maintenance: its restricted
@@ -185,6 +194,10 @@ struct ComponentCacheEntry {
   };
   std::vector<NamePublish> names;
   size_t envelope_size = 0;
+  /// No atom SCC of the component's resolved ground program has a negative
+  /// edge inside it: the reduced component of Figure 1 is locally
+  /// stratified (see ComponentWfsResult::locally_stratified).
+  bool locally_stratified = true;
 };
 
 /// Everything SolveWfsByComponents derives from the program's rules before
@@ -223,6 +236,8 @@ struct SchedulerPlan {
   struct Shape {
     bool exact = true;
     bool instantiated = false;  // GuardedProgram::instantiated.
+    /// GuardedProgram::instance_head_names.
+    std::vector<TermId> instance_head_names;
     /// Component ids with rules, grouped by depth (one wave per depth).
     std::vector<std::vector<uint32_t>> waves;
     /// Fact-only relations whose facts a delta may add or retract without
@@ -312,6 +327,14 @@ struct ComponentWfsResult {
   Interpretation model;
   /// Sum of per-component envelope sizes.
   size_t envelope_size = 0;
+  /// Every component, solved or replayed, is locally stratified after its
+  /// lower literals are resolved (ComponentCacheEntry::locally_stratified).
+  /// On an exact solve whose lower models are all two-valued, that is the
+  /// local-stratification test Figure 1 runs on each reduced component,
+  /// over a superset of its ground instances; Engine::Analyze reads the
+  /// modular-stratification verdict off it (src/analysis/modular.h,
+  /// Figure1FitsSolve). Meaningful only when `ok` and not cancelled.
+  bool locally_stratified = true;
   SchedulerStats stats;
 };
 

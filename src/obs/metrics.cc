@@ -68,6 +68,8 @@ const char* CounterName(Counter c) {
     case Counter::kKernelProgramsCompiled: return "kernel.programs_compiled";
     case Counter::kKernelCacheHits: return "kernel.cache_hits";
     case Counter::kKernelOpsExecuted: return "kernel.ops_executed";
+    case Counter::kModularFromSolve: return "modular.from_solve";
+    case Counter::kModularLiteralRuns: return "modular.literal_runs";
     case Counter::kCount: break;
   }
   return "?";

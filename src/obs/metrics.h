@@ -94,6 +94,9 @@ enum class Counter : uint16_t {
   kKernelProgramsCompiled,  // Rule variants lowered to kernel programs.
   kKernelCacheHits,         // Executions served by a cached program.
   kKernelOpsExecuted,       // Kernel ops run (scans, probes, neg-probes).
+  // Engine::Analyze's Figure 1 verdict: each call counts exactly one.
+  kModularFromSolve,    // Read off the engine's own well-founded solve.
+  kModularLiteralRuns,  // Decided by running CheckModularHiLog.
   kCount,
 };
 

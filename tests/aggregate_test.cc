@@ -160,6 +160,31 @@ TEST_F(AggregateTest, NegationIsRejected) {
   EXPECT_FALSE(result.error.empty());
 }
 
+// examples/programs/tc.hl: the open tc(G) rules rebind G to every
+// derived name (tc(stc(flight)), tc(tc(stc(flight))), ...), so naive
+// rounds would grow without end. The evaluator refuses before any round
+// and names the first rule Definition 5.6 rejects.
+TEST_F(AggregateTest, RejectsNonStronglyRangeRestricted) {
+  Program p = P(
+      "tc(G)(X,Y) :- G(X,Y).\n"
+      "tc(G)(X,Y) :- G(X,Z), tc(G)(Z,Y).\n"
+      "graph(flight).\n"
+      "stc(G)(X,Y) :- graph(G), G(X,Y).\n"
+      "stc(G)(X,Y) :- graph(G), G(X,Z), stc(G)(Z,Y).\n"
+      "flight(sfo, jfk).\n"
+      "flight(jfk, lhr).\n"
+      "flight(lhr, cdg).\n");
+  AggregateEvalResult result =
+      EvaluateWithAggregates(store_, p, AggregateEvalOptions());
+  EXPECT_NE(result.error.find("strongly range-restricted"),
+            std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.find("tc(G)(X,Y) :- G(X,Y)"), std::string::npos)
+      << result.error;
+  EXPECT_EQ(result.outer_rounds, 0u);
+  EXPECT_EQ(result.facts.size(), 0u);
+}
+
 TEST_F(AggregateTest, CyclicHierarchyDoesNotConverge) {
   // A cyclic part relation breaks modular stratification of the
   // aggregation; the evaluator must report non-convergence instead of

@@ -454,6 +454,68 @@ TEST(EngineMetricsTest, ComponentCountersExactOnHiLogGameDeltas) {
   EXPECT_EQ(engine.scheduler_cache().size(), 4u);
 }
 
+// Satellite: Engine::Analyze counts where each Figure 1 verdict came
+// from, exactly one counter per call. On game.hl the engine's own solve
+// decides, and the SolveWellFounded after it replays every component; a
+// ground win chain ending in a self-loop is not locally stratified and
+// Example 6.5 has an instance head Figure 1 settles early, so both go to
+// the literal procedure.
+TEST(EngineMetricsTest, ModularVerdictCountersAreExact) {
+  const std::string game =
+      "winning(M)(X) :- game(M), M(X,Y), ~winning(M)(Y).\n"
+      "game(move1).\ngame(move2).\n"
+      "move1(a,b).\nmove1(b,c).\n"
+      "move2(x,y).\nmove2(y,z).\nmove2(x,z).\n";
+  {
+    Engine engine;
+    ASSERT_EQ(engine.Load(game), "");
+    AnalysisReport report = engine.Analyze();
+    EXPECT_TRUE(report.modularly_stratified) << report.modular_reason;
+    const obs::MetricsRegistry& m = engine.metrics();
+    EXPECT_EQ(m.value(obs::Counter::kModularFromSolve), 1u);
+    EXPECT_EQ(m.value(obs::Counter::kModularLiteralRuns), 0u);
+    // The verify recipe's game.hl counters, earned inside Analyze.
+    EXPECT_EQ(m.value(obs::Counter::kSchedComponents), 5u);
+    EXPECT_EQ(m.value(obs::Counter::kSchedAtomSccs), 13u);
+    EXPECT_EQ(m.value(obs::Counter::kGroundInstances), 12u);
+    EXPECT_EQ(m.value(obs::Counter::kSchedPlansBuilt), 1u);
+    EXPECT_EQ(m.phase(obs::Phase::kAnalyze).calls, 1u);
+    EXPECT_EQ(m.phase(obs::Phase::kSolveWfs).calls, 1u);
+    ASSERT_TRUE(engine.SolveWellFounded().ok);
+    EXPECT_EQ(m.value(obs::Counter::kSchedComponents), 5u);
+    EXPECT_EQ(m.value(obs::Counter::kSchedComponentsReused), 5u);
+    EXPECT_EQ(m.value(obs::Counter::kSchedPlansReused), 1u);
+    EXPECT_EQ(m.value(obs::Counter::kGroundInstances), 12u);
+    EXPECT_EQ(m.phase(obs::Phase::kSolveWfs).calls, 2u);
+  }
+  struct Case {
+    std::string text;
+    bool accepted;
+    uint64_t from_solve;
+    uint64_t literal_runs;
+  };
+  const Case cases[] = {
+      {GroundWinChain(8), true, 1, 0},
+      {GroundWinChain(8) + "w(n8) :- m(n8,n8), ~w(n8).\nm(n8,n8).\n", false,
+       0, 1},
+      {"winning(M)(X) :- game(M), M(X,Y), ~winning(M)(Y).\n"
+       "game(move1).\ngame(move2).\n"
+       "q(move1(a,b)).\nq(move1(b,c)).\nmove2(x,y).\n"
+       "p(X) :- q(X).\nX :- p(X).\n",
+       false, 0, 1},
+  };
+  for (const Case& c : cases) {
+    Engine engine;
+    ASSERT_EQ(engine.Load(c.text), "");
+    EXPECT_EQ(engine.Analyze().modularly_stratified, c.accepted) << c.text;
+    const obs::MetricsRegistry& m = engine.metrics();
+    EXPECT_EQ(m.value(obs::Counter::kModularFromSolve), c.from_solve)
+        << c.text;
+    EXPECT_EQ(m.value(obs::Counter::kModularLiteralRuns), c.literal_runs)
+        << c.text;
+  }
+}
+
 // A layered program with `width` mutually independent chains: every
 // chain contributes one component per layer, so each topological depth
 // is a wave of `width` components — the shape the parallel scheduler
