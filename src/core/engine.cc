@@ -212,6 +212,42 @@ ComponentWfsResult Engine::SolveByComponents() {
   return scheduled;
 }
 
+std::string Engine::InstantiateHerbrand(InstantiationResult* inst) {
+  Universe universe =
+      ProgramHiLogUniverse(store_, program_, options_.universe_bound);
+  const size_t size = universe.terms.size();
+  // Count what InstantiateOverUniverse would emit — one instance per
+  // variable-free rule, |U|^vars per other rule — saturating, so an
+  // over-cap program is refused before a single instance is interned.
+  size_t instances = 0;
+  for (const Rule& rule : program_.rules) {
+    std::vector<TermId> vars;
+    CollectRuleVariables(store_, rule, &vars);
+    size_t count = 1;
+    for (size_t v = 0; v < vars.size(); ++v) {
+      count = size != 0 && count > SIZE_MAX / size ? SIZE_MAX : count * size;
+    }
+    instances = count > SIZE_MAX - instances ? SIZE_MAX : instances + count;
+  }
+  const std::string universe_text =
+      std::to_string(size) + " universe terms (depth <= " +
+      std::to_string(options_.universe_bound.max_depth) + ")";
+  if (instances > options_.max_instances) {
+    return "bounded Herbrand instantiation refused: " +
+           (instances == SIZE_MAX ? "over 2^64" : std::to_string(instances)) +
+           " ground instances over " + universe_text +
+           " exceed max_instances = " + std::to_string(options_.max_instances);
+  }
+  *inst = InstantiateOverUniverse(store_, program_, universe.terms,
+                                  options_.max_instances);
+  if (inst->truncated) {
+    return "bounded Herbrand instantiation refused: it omits the "
+           "aggregate/builtin rules, so the program over " +
+           universe_text + " would be partial";
+  }
+  return "";
+}
+
 Engine::WfsAnswer Engine::SolveOnGround(const GroundProgram& ground,
                                         GrounderKind kind, bool exact,
                                         std::string notes) {
@@ -258,13 +294,18 @@ Engine::WfsAnswer Engine::SolveWellFoundedWith(GrounderKind grounder) {
     answer.sched = scheduled.stats;
     return answer;
   }
-  Universe universe =
-      ProgramHiLogUniverse(store_, program_, options_.universe_bound);
-  InstantiationResult inst = InstantiateOverUniverse(
-      store_, program_, universe.terms, options_.max_instances);
+  InstantiationResult inst;
+  std::string refusal = InstantiateHerbrand(&inst);
+  if (!refusal.empty()) {
+    WfsAnswer answer;
+    answer.grounder = GrounderKind::kHerbrand;
+    answer.ok = false;
+    answer.notes = std::move(refusal);
+    return answer;
+  }
   std::string notes = "bounded Herbrand fragment (depth <= " +
                       std::to_string(options_.universe_bound.max_depth) +
-                      ", " + std::to_string(universe.terms.size()) +
+                      ", " + std::to_string(inst.universe_size) +
                       " universe terms)";
   return SolveOnGround(inst.program, GrounderKind::kHerbrand,
                        /*exact=*/false, std::move(notes));
@@ -290,10 +331,12 @@ StableModelsResult Engine::SolveStable() {
                                    &scheduled.model);
     }
   }
-  Universe universe =
-      ProgramHiLogUniverse(store_, program_, options_.universe_bound);
-  InstantiationResult inst = InstantiateOverUniverse(
-      store_, program_, universe.terms, options_.max_instances);
+  InstantiationResult inst;
+  if (!InstantiateHerbrand(&inst).empty()) {
+    StableModelsResult refused;
+    refused.complete = false;
+    return refused;
+  }
   return EnumerateStableModels(inst.program, options_.stable);
 }
 
@@ -385,7 +428,11 @@ TabledResult Engine::ProveTabled(std::string_view query_text) {
 StratifiedEvalResult Engine::SolveStratified() {
   obs::ScopedObsContext obs_ctx(MetricsSink(), TraceSink());
   obs::ScopedPhaseTimer timer(obs::Phase::kSolveStratified);
-  return EvaluateStratified(store_, program_, options_.bottomup);
+  // The perfect model is the true part of the engine's own well-founded
+  // solve: components settled by SolveWellFounded or Analyze replay, and
+  // the ones settled here replay for them.
+  return EvaluateStratifiedBy(store_, program_, options_.bottomup.max_facts,
+                              [this] { return SolveByComponents(); });
 }
 
 DomainIndependenceResult Engine::CheckDomainIndependence(

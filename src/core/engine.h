@@ -164,13 +164,18 @@ class Engine {
   /// the SCC evaluation scheduler (src/eval/scheduler.h): the relevance
   /// path evaluates predicate components against restricted active
   /// domains and memoizes settled components across calls; the Herbrand
-  /// path schedules atom-level SCCs over the monolithic grounding.
+  /// path schedules atom-level SCCs over the monolithic grounding. The
+  /// Herbrand path refuses (ok false, the reason in `notes`) rather than
+  /// solve a grounding that max_instances or an aggregate/builtin rule
+  /// would leave partial.
   WfsAnswer SolveWellFounded();
 
   /// Like SolveWellFounded but forcing the grounder.
   WfsAnswer SolveWellFoundedWith(GrounderKind grounder);
 
   /// Enumerates stable models over the same grounding as SolveWellFounded.
+  /// Where SolveWellFounded refuses a Herbrand grounding, this returns no
+  /// models and `complete` false.
   StableModelsResult SolveStable();
 
   /// Runs the Figure 1 procedure.
@@ -209,7 +214,10 @@ class Engine {
   TabledResult ProveTabled(std::string_view query_text);
 
   /// Stratified (perfect-model) evaluation, when the program is
-  /// stratified per Definition 6.1.
+  /// stratified per Definition 6.1: EvaluateStratified's checks, then the
+  /// true atoms of the relevance-path well-founded solve that
+  /// SolveWellFounded and Analyze run (same cache and inc.* accounting),
+  /// so any of the three after another replays every component.
   StratifiedEvalResult SolveStratified();
 
   /// Empirical Definition 5.1 check over the configured universe bound.
@@ -230,6 +238,11 @@ class Engine {
  private:
   WfsAnswer SolveOnGround(const GroundProgram& ground, GrounderKind kind,
                           bool exact, std::string notes);
+  /// The bounded Herbrand instantiation of the program, into `*inst`.
+  /// Returns why it is refused instead, when it would be silently partial:
+  /// more instances than max_instances (counted before any is interned),
+  /// or aggregate/builtin rules, which InstantiateOverUniverse omits.
+  std::string InstantiateHerbrand(InstantiationResult* inst);
   /// The relevance-path solve over the scheduler cache. When it succeeds
   /// with a delta pending it is that delta's maintenance pass and reports
   /// the inc.components_* counters.

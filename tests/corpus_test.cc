@@ -56,6 +56,29 @@ TEST(CorpusTest, TcHl) {
   EXPECT_EQ(tabled.answers.size(), 3u);
 }
 
+// tc.hl is not strongly range restricted, so its well-founded and stable
+// solves take the bounded Herbrand path. Over its depth-1 universe the
+// rules need about 2.3 x 10^11 instances, far over max_instances: the
+// solve is refused up front, never cut off mid-rule into a silently
+// partial model.
+TEST(CorpusTest, TcHlHerbrandSolveIsRefusedNotPartial) {
+  Engine engine;
+  ASSERT_EQ(engine.Load(ReadFile(ProgramPath("tc.hl"))), "");
+  Engine::WfsAnswer wfs = engine.SolveWellFounded();
+  EXPECT_FALSE(wfs.ok);
+  EXPECT_EQ(wfs.grounder, GrounderKind::kHerbrand);
+  EXPECT_NE(wfs.notes.find("max_instances = 2000000"), std::string::npos)
+      << wfs.notes;
+  EXPECT_NE(wfs.notes.find("584 universe terms"), std::string::npos)
+      << wfs.notes;
+  EXPECT_EQ(wfs.model.atoms().size(), 0u);
+  EXPECT_EQ(engine.metrics().value(obs::Counter::kGroundInstances), 0u);
+  StableModelsResult stable = engine.SolveStable();
+  EXPECT_FALSE(stable.complete);
+  EXPECT_TRUE(stable.models.empty());
+  EXPECT_EQ(engine.metrics().value(obs::Counter::kGroundInstances), 0u);
+}
+
 TEST(CorpusTest, PartsHl) {
   Engine engine;
   ASSERT_EQ(engine.Load(ReadFile(ProgramPath("parts.hl"))), "");

@@ -77,6 +77,23 @@ TEST(EngineTest, SolveWellFoundedFallsBackToHerbrand) {
   EXPECT_EQ(answer.model.Value(p), TruthValue::kTrue);
 }
 
+TEST(EngineTest, HerbrandGroundingWithoutAggregateRulesIsRefused) {
+  Engine engine;
+  // Not range restricted (p's X is unbound), so the Herbrand path; its
+  // aggregate rule cannot be instantiated over the universe, and the
+  // grounding without it would be partial.
+  ASSERT_EQ(engine.Load("p :- ~q(X). q(a). n(N) :- N = count(X, q(X))."),
+            "");
+  Engine::WfsAnswer answer = engine.SolveWellFounded();
+  EXPECT_FALSE(answer.ok);
+  EXPECT_EQ(answer.grounder, GrounderKind::kHerbrand);
+  EXPECT_NE(answer.notes.find("aggregate/builtin"), std::string::npos)
+      << answer.notes;
+  StableModelsResult stable = engine.SolveStable();
+  EXPECT_FALSE(stable.complete);
+  EXPECT_TRUE(stable.models.empty());
+}
+
 TEST(EngineTest, SolveStable) {
   Engine engine;
   ASSERT_EQ(engine.Load("p :- ~q. q :- ~p."), "");

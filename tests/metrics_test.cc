@@ -575,6 +575,51 @@ TEST(EngineMetricsTest, ParallelWaveCountersAreExact) {
             mp.gauge(obs::Gauge::kAtomTableSize));
 }
 
+// Stratified evaluation is the engine's own well-founded solve: cold, it
+// earns exactly a cold SolveWellFounded's sched.* and ground counters,
+// and after SolveWellFounded it replays every component (and vice versa).
+TEST(EngineMetricsTest, StratifiedSolveIsTheWellFoundedSolve) {
+  const std::string text = LayeredChains(/*width=*/3, /*depth=*/3) +
+                           "q(a).\nr(X) :- p0_2(X), ~q(X).\n";
+  Engine wfs_first;
+  Engine stratified_first;
+  ASSERT_EQ(wfs_first.Load(text), "");
+  ASSERT_EQ(stratified_first.Load(text), "");
+  ASSERT_TRUE(wfs_first.SolveWellFounded().ok);
+  StratifiedEvalResult cold = stratified_first.SolveStratified();
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_EQ(cold.facts.size(), 3u * 3u * 2u + 1u + 1u);
+
+  const obs::MetricsRegistry& mw = wfs_first.metrics();
+  const obs::MetricsRegistry& ms = stratified_first.metrics();
+  // 9 chain components, q and r.
+  EXPECT_EQ(ms.value(obs::Counter::kSchedComponents), 11u);
+  EXPECT_EQ(ms.value(obs::Counter::kSchedComponentsReused), 0u);
+  EXPECT_EQ(ms.value(obs::Counter::kGroundInstances), 21u);
+  EXPECT_EQ(ms.value(obs::Counter::kSchedPlansBuilt), 1u);
+  for (size_t c = 0; c < static_cast<size_t>(obs::Counter::kCount); ++c) {
+    const auto counter = static_cast<obs::Counter>(c);
+    const std::string name = obs::CounterName(counter);
+    if (name.rfind("sched.", 0) != 0) continue;
+    EXPECT_EQ(ms.value(counter), mw.value(counter)) << name;
+  }
+  EXPECT_EQ(ms.value(obs::Counter::kGroundInstances),
+            mw.value(obs::Counter::kGroundInstances));
+  EXPECT_EQ(ms.phase(obs::Phase::kSolveStratified).calls, 1u);
+  EXPECT_EQ(ms.phase(obs::Phase::kGround).calls,
+            mw.phase(obs::Phase::kGround).calls);
+
+  // The second solve on each engine replays all 11 components.
+  ASSERT_TRUE(wfs_first.SolveStratified().ok);
+  ASSERT_TRUE(stratified_first.SolveWellFounded().ok);
+  for (const obs::MetricsRegistry* m : {&mw, &ms}) {
+    EXPECT_EQ(m->value(obs::Counter::kSchedComponents), 11u);
+    EXPECT_EQ(m->value(obs::Counter::kSchedComponentsReused), 11u);
+    EXPECT_EQ(m->value(obs::Counter::kSchedPlansReused), 1u);
+    EXPECT_EQ(m->value(obs::Counter::kGroundInstances), 21u);
+  }
+}
+
 TEST(EngineMetricsTest, WinChainExactMagicQueryCounters) {
   Engine engine;
   ASSERT_EQ(engine.Load(GroundWinChain(8)), "");
