@@ -93,23 +93,21 @@ void BM_WeaklyPerfect_DeepChain(benchmark::State& state) {
 }
 BENCHMARK(BM_WeaklyPerfect_DeepChain)->Range(8, 256);
 
-void BM_StratifiedParallel_Wide(benchmark::State& state) {
+void BM_StratifiedWaves_Wide(benchmark::State& state) {
   // Stratified evaluation of a wide three-layer program: each of the
-  // scheduler's waves is `width` independent components, fanned across
-  // the worker pool. Axis 0 is the width, axis 1 the eval-thread count.
+  // scheduler's waves is `width` independent components, solved as one
+  // batch.
   const int width = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   TermStore store;
   auto parsed = ParseProgram(store, bench::LayeredProgram(width));
-  BottomUpOptions options;
-  options.eval_threads = static_cast<size_t>(threads);
   for (auto _ : state) {
-    StratifiedEvalResult r = EvaluateStratified(store, *parsed, options);
+    StratifiedEvalResult r =
+        EvaluateStratified(store, *parsed, BottomUpOptions());
     benchmark::DoNotOptimize(r.facts.size());
   }
   state.SetItemsProcessed(state.iterations() * width);
 }
-BENCHMARK(BM_StratifiedParallel_Wide)->ArgsProduct({{32, 128}, {1, 2, 4}});
+BENCHMARK(BM_StratifiedWaves_Wide)->Arg(32)->Arg(128);
 
 void BM_WfsOnDeepChainReference(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

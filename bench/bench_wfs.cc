@@ -187,61 +187,53 @@ void BM_WfsScheduled_Layered(benchmark::State& state) {
 }
 BENCHMARK(BM_WfsScheduled_Layered)->Range(2, 32);
 
-void BM_WfsParallel_WideLayered(benchmark::State& state) {
+void BM_WfsWaves_WideLayered(benchmark::State& state) {
   // Wide waves: every layer of the stack is `width` independent
-  // components deep-1 apart, so each wave fans `width` components across
-  // the worker pool. Axis 0 is the width, axis 1 the eval-thread count
-  // (1 = the sequential whole-wave batch).
+  // components deep-1 apart, so each wave solves `width` components as
+  // one batch.
   const int width = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   TermStore store;
   auto parsed =
       ParseProgram(store, bench::LayeredNegationProgram(/*layers=*/4, width));
-  BottomUpOptions options;
-  options.eval_threads = static_cast<size_t>(threads);
   for (auto _ : state) {
-    ComponentWfsResult r = SolveWfsByComponents(store, *parsed, options);
+    ComponentWfsResult r =
+        SolveWfsByComponents(store, *parsed, BottomUpOptions());
     benchmark::DoNotOptimize(r.model.CountTrue());
   }
   state.SetItemsProcessed(state.iterations() * 4 * width);
 }
-BENCHMARK(BM_WfsParallel_WideLayered)->ArgsProduct({{8, 32}, {1, 2, 4}});
+BENCHMARK(BM_WfsWaves_WideLayered)->Arg(8)->Arg(32);
 
-void BM_WfsParallel_DeepLayered(benchmark::State& state) {
-  // Deep waves: many narrow waves in sequence — the wave barrier's
-  // worst case, where per-wave clone/merge overhead cannot amortize.
+void BM_WfsWaves_DeepLayered(benchmark::State& state) {
+  // Deep waves: many narrow waves in sequence, so the per-wave cost
+  // cannot amortize.
   const int layers = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   TermStore store;
   auto parsed =
       ParseProgram(store, bench::LayeredNegationProgram(layers, /*width=*/4));
-  BottomUpOptions options;
-  options.eval_threads = static_cast<size_t>(threads);
   for (auto _ : state) {
-    ComponentWfsResult r = SolveWfsByComponents(store, *parsed, options);
+    ComponentWfsResult r =
+        SolveWfsByComponents(store, *parsed, BottomUpOptions());
     benchmark::DoNotOptimize(r.model.CountTrue());
   }
   state.SetItemsProcessed(state.iterations() * layers * 4);
 }
-BENCHMARK(BM_WfsParallel_DeepLayered)->ArgsProduct({{16}, {1, 2, 4}});
+BENCHMARK(BM_WfsWaves_DeepLayered)->Arg(16);
 
-void BM_WfsParallel_MultiChains(benchmark::State& state) {
-  // Multi-chain scaling: one wave of `chains` heavyweight win/move
-  // components, each with a full alternating-depth settle — the ideal
-  // fan-out shape for the worker pool.
+void BM_WfsWaves_MultiChains(benchmark::State& state) {
+  // One wave of `chains` heavyweight win/move components, each with a
+  // full alternating-depth settle.
   const int chains = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   TermStore store;
   auto parsed = ParseProgram(store, bench::MultiWinChains(chains, /*length=*/32));
-  BottomUpOptions options;
-  options.eval_threads = static_cast<size_t>(threads);
   for (auto _ : state) {
-    ComponentWfsResult r = SolveWfsByComponents(store, *parsed, options);
+    ComponentWfsResult r =
+        SolveWfsByComponents(store, *parsed, BottomUpOptions());
     benchmark::DoNotOptimize(r.model.CountTrue());
   }
   state.SetItemsProcessed(state.iterations() * chains * 32);
 }
-BENCHMARK(BM_WfsParallel_MultiChains)->ArgsProduct({{8, 32}, {1, 2, 4}});
+BENCHMARK(BM_WfsWaves_MultiChains)->Arg(8)->Arg(32);
 
 void BM_GammaOperator(benchmark::State& state) {
   // One Gamma (GL-reduct least model) application: the inner loop of

@@ -126,7 +126,10 @@ void PrintWfs(hilog::Engine& engine) {
 
 void PrintStable(hilog::Engine& engine) {
   hilog::StableModelsResult result = engine.SolveStable();
-  if (!result.complete) std::puts("(enumeration incomplete: budget)");
+  if (!result.complete) {
+    std::printf("(enumeration incomplete: %s)\n",
+                result.reason.empty() ? "budget" : result.reason.c_str());
+  }
   std::printf("%zu stable model(s)\n", result.models.size());
   for (size_t i = 0; i < result.models.size(); ++i) {
     std::printf("model %zu:", i + 1);
@@ -340,7 +343,6 @@ int main(int argc, char** argv) {
   std::string program_path;
   std::string client_addr;
   uint64_t client_deadline_ms = 0;
-  size_t eval_threads = 1;
   bool explain_plan = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -364,11 +366,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--deadline-ms") == 0) {
       client_deadline_ms =
           std::strtoull(take_value("--deadline-ms"), nullptr, 10);
-    } else if (std::strcmp(arg, "--eval-threads") == 0) {
-      // Worker-pool concurrency for the SCC scheduler's component waves;
-      // 1 (the default) keeps evaluation fully sequential. Answers are
-      // byte-identical at every setting.
-      eval_threads = std::strtoull(take_value("--eval-threads"), nullptr, 10);
     } else if (std::strcmp(arg, "--explain-plan") == 0) {
       explain_plan = true;
     } else if (arg[0] == '-' && arg[1] != '\0') {
@@ -387,7 +384,6 @@ int main(int argc, char** argv) {
   const bool batch = observing && !program_path.empty();
 
   hilog::EngineOptions options;
-  options.bottomup.eval_threads = eval_threads;
   if (!trace_json_path.empty()) options.trace_capacity = 1 << 16;
   hilog::Engine engine(options);
 

@@ -91,12 +91,6 @@ int main(int argc, char** argv) {
           std::strtoull(take_value("--sample-interval-ms"), nullptr, 10);
     } else if (std::strcmp(arg, "--warm-wfs") == 0) {
       executor_options.warm_wfs = true;
-    } else if (std::strcmp(arg, "--eval-threads") == 0) {
-      // Worker-pool concurrency inside one evaluation (the scheduler's
-      // component waves) — orthogonal to --threads, which is the number
-      // of concurrent requests. Default 1: sequential evaluation.
-      executor_options.engine.bottomup.eval_threads =
-          static_cast<size_t>(std::atoi(take_value("--eval-threads")));
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg);
       return 2;

@@ -192,13 +192,10 @@ AnalysisReport Engine::Analyze() {
   return report;
 }
 
-ComponentWfsResult Engine::SolveByComponents() {
-  // The well-founded answer only needs the model and the instance count,
-  // so skip materializing the union grounding — replayed components then
-  // cost atoms, not ground-rule copies.
+ComponentWfsResult Engine::SolveByComponents(bool need_ground) {
   ComponentWfsResult scheduled =
       SolveWfsByComponents(store_, program_, options_.bottomup,
-                           &scheduler_cache_, /*need_ground=*/false);
+                           &scheduler_cache_, need_ground);
   if (scheduled.ok && maintenance_pending_) {
     // This solve was the maintenance pass for a pending ApplyDelta:
     // report its dirtiness frontier. (stats.components counts solved
@@ -314,29 +311,29 @@ Engine::WfsAnswer Engine::SolveWellFoundedWith(GrounderKind grounder) {
 StableModelsResult Engine::SolveStable() {
   obs::ScopedObsContext obs_ctx(MetricsSink(), TraceSink());
   obs::ScopedPhaseTimer timer(obs::Phase::kSolveStable);
+  StableModelsResult refused;
+  refused.complete = false;
   if (IsStronglyRangeRestricted(store_, program_)) {
-    // Scheduler path: the union of restricted component groundings, with
-    // the already-settled well-founded model handed to the enumerator so
-    // it only branches on genuinely undefined atoms.
-    ComponentWfsResult scheduled = SolveWfsByComponents(
-        store_, program_, options_.bottomup, &scheduler_cache_);
+    // SolveWellFounded's relevance solve, with the union of restricted
+    // component groundings materialized and the settled well-founded
+    // model handed to the enumerator, so it only branches on genuinely
+    // undefined atoms. A grounding it refuses or truncates has no stable
+    // models to enumerate.
+    ComponentWfsResult scheduled = SolveByComponents(/*need_ground=*/true);
     if (scheduled.cancelled) {
-      StableModelsResult cancelled;
-      cancelled.cancelled = true;
-      cancelled.complete = false;
-      return cancelled;
+      refused.cancelled = true;
+      return refused;
     }
-    if (scheduled.ok) {
-      return EnumerateStableModels(scheduled.ground, options_.stable,
-                                   &scheduled.model);
+    if (!scheduled.ok || scheduled.truncated) {
+      refused.reason = scheduled.ok ? "envelope truncated" : scheduled.error;
+      return refused;
     }
+    return EnumerateStableModels(scheduled.ground, options_.stable,
+                                 &scheduled.model);
   }
   InstantiationResult inst;
-  if (!InstantiateHerbrand(&inst).empty()) {
-    StableModelsResult refused;
-    refused.complete = false;
-    return refused;
-  }
+  refused.reason = InstantiateHerbrand(&inst);
+  if (!refused.reason.empty()) return refused;
   return EnumerateStableModels(inst.program, options_.stable);
 }
 

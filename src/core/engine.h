@@ -173,9 +173,11 @@ class Engine {
   /// Like SolveWellFounded but forcing the grounder.
   WfsAnswer SolveWellFoundedWith(GrounderKind grounder);
 
-  /// Enumerates stable models over the same grounding as SolveWellFounded.
-  /// Where SolveWellFounded refuses a Herbrand grounding, this returns no
-  /// models and `complete` false.
+  /// Enumerates stable models over the same grounding as SolveWellFounded,
+  /// through the same relevance solve (SolveByComponents) on a strongly
+  /// range-restricted program and the bounded Herbrand instantiation
+  /// otherwise. Where SolveWellFounded fails, refuses or truncates, this
+  /// returns no models, `complete` false and the reason in `reason`.
   StableModelsResult SolveStable();
 
   /// Runs the Figure 1 procedure.
@@ -245,8 +247,11 @@ class Engine {
   std::string InstantiateHerbrand(InstantiationResult* inst);
   /// The relevance-path solve over the scheduler cache. When it succeeds
   /// with a delta pending it is that delta's maintenance pass and reports
-  /// the inc.components_* counters.
-  ComponentWfsResult SolveByComponents();
+  /// the inc.components_* counters. The well-founded answer only needs the
+  /// model and the instance count, so the union grounding is materialized
+  /// only with `need_ground` (stable models): replayed components then
+  /// cost atoms, not ground-rule copies.
+  ComponentWfsResult SolveByComponents(bool need_ground = false);
   std::string AppendProgram(std::string_view text, bool prewarm);
   /// Keeps the scheduler plan in step with program_ after rules at
   /// `added_from` and up were appended and the fact rules of `retracted`

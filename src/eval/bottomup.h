@@ -19,15 +19,6 @@ class KernelCache;
 struct BottomUpOptions {
   size_t max_facts = 1000000;
   size_t max_rounds = 100000;
-  /// Concurrency of the SCC scheduler's component waves
-  /// (src/eval/scheduler.cc): components at the same topological depth
-  /// are split into up to `eval_threads` batches solved concurrently on
-  /// the shared WorkerPool. 0 and 1 both mean sequential (same-depth
-  /// batching still applies, but everything runs on the calling thread
-  /// against the caller's term store, with no cloning or merging).
-  /// Answers are byte-identical at every setting; only wall-clock and
-  /// the sched.parallel.* metrics change.
-  size_t eval_threads = 1;
   /// Compilation cache for the rule-to-kernel path (src/eval/kernel.h),
   /// normally the owning Engine's. Null means each evaluation run uses a
   /// transient cache (programs still amortize across the run's rounds,

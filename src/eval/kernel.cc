@@ -164,14 +164,6 @@ std::shared_ptr<const KernelProgram> KernelCache::GetWithOrder(
     }
     program->ops.push_back(std::move(bind));
   }
-  program->tail_begin = program->ops.size();
-
-  for (TermId atom : entry->neg_atoms) {
-    KernelOp op;
-    op.code = KernelOpCode::kNegProbe;
-    op.atom = atom;
-    program->ops.push_back(std::move(op));
-  }
   {
     KernelOp project;
     project.code = KernelOpCode::kProject;
@@ -219,7 +211,6 @@ KernelCache::RuleEntry* KernelCache::FindOrCreate(TermStore& store,
   for (const Literal& lit : rule.body) {
     entry->body_sig.emplace_back(static_cast<uint8_t>(lit.kind), lit.atom);
     if (lit.positive()) entry->pos_atoms.push_back(lit.atom);
-    if (lit.negative()) entry->neg_atoms.push_back(lit.atom);
   }
   entry->info.resize(entry->pos_atoms.size());
   for (size_t i = 0; i < entry->pos_atoms.size(); ++i) {
@@ -336,15 +327,6 @@ bool SelectEq(const TermStore& store, const FactBase& source, TermId atom) {
   return true;
 }
 
-// The kNegProbe check for one negative literal under `subst`: false when
-// the instance is non-ground (the firing is skipped) or settled true in
-// `neg` (the firing is blocked).
-bool NegProbePasses(TermStore& store, const FactBase& neg, TermId atom,
-                    const Substitution& subst) {
-  TermId instance = subst.Apply(store, atom);
-  return store.IsGround(instance) && !neg.Contains(instance);
-}
-
 // One program run: a recursion over the join steps, each enumerating its
 // candidates and matching them into the substitution's trail.
 struct KernelExec {
@@ -367,34 +349,15 @@ struct KernelExec {
     return t;
   }
 
-  // Negative probes in textual order, then the emit. A failed probe
-  // skips the firing; the enumeration continues with the next candidate.
-  bool Tail() {
-    for (size_t i = p.tail_begin; i < p.ops.size(); ++i) {
-      const KernelOp& op = p.ops[i];
-      switch (op.code) {
-        case KernelOpCode::kNegProbe: {
-          if (ctx.neg == nullptr) break;
-          ++ops_executed;
-          if (!NegProbePasses(store, *ctx.neg, op.atom, *subst)) return true;
-          break;
-        }
-        case KernelOpCode::kEmit:
-          ++ops_executed;
-          return sink(*subst);
-        default:
-          break;
-      }
-    }
-    return true;
-  }
-
   // Enumerates candidates for join step `si` and recurses. The
   // per-candidate match walks the original atom against the fact,
   // dereferencing bound variables on the fly (MatchResolvedInto) instead
   // of interning the substituted pattern first.
   bool Step(size_t si) {
-    if (si == p.scan_ops.size()) return Tail();
+    if (si == p.scan_ops.size()) {
+      ++ops_executed;  // The kEmit: every join step matched.
+      return sink(*subst);
+    }
     const KernelOp& op = p.ops[p.scan_ops[si]];
     ++ops_executed;
     const bool is_delta = op.from_delta && ctx.delta != nullptr;
@@ -542,16 +505,7 @@ bool RunGroundBody(TermStore& store, const Rule& rule,
   for (const Probe& p : probes) {
     if (!SelectEq(store, *ctx.facts, p.atom)) return true;
   }
-  Substitution empty;
-  if (ctx.neg != nullptr) {
-    for (const Literal& lit : rule.body) {
-      if (lit.negative() &&
-          !NegProbePasses(store, *ctx.neg, lit.atom, empty)) {
-        return true;
-      }
-    }
-  }
-  return sink(empty);
+  return sink(Substitution());
 }
 
 // ---------------------------------------------------------------------------
@@ -619,9 +573,6 @@ std::string FormatKernelProgram(const TermStore& store,
         os << "}";
         break;
       }
-      case KernelOpCode::kNegProbe:
-        os << "NegProbe       " << store.ToString(op.atom);
-        break;
       case KernelOpCode::kProject: {
         os << "Project        {";
         for (size_t v = 0; v < op.vars.size(); ++v) {

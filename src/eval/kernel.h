@@ -25,11 +25,11 @@ namespace hilog {
 /// FactBase, where the "registers" are the variable bindings accumulated
 /// by earlier join steps (the substitution's trail). One executor —
 /// RunKernel — then serves every rule-body join: the semi-naive
-/// bottom-up engine, the stratified fixpoint (negative literals become
-/// kNegProbe ops against the settled lower strata) and the SCC
-/// scheduler's grounder; the magic evaluator takes its join order from
-/// the compiled form. Fully ground bodies skip compilation and run
-/// through RunGroundBody, the same membership probes without a program.
+/// bottom-up engine and the SCC scheduler's grounder; the magic evaluator
+/// takes its join order from the compiled form. Only positive literals
+/// compile; negative ones are left to the caller. Fully ground bodies
+/// skip compilation and run through RunGroundBody, the same membership
+/// probes without a program.
 ///
 /// Probe fingerprints are computed straight from the registers (no
 /// per-step interning of the substituted pattern), each candidate is
@@ -37,7 +37,7 @@ namespace hilog {
 /// per-round variable analysis is cached per rule in the KernelCache.
 
 /// Kernel opcodes. kScanDelta/kScanRelation/kProbeColumn/kSelectEq are
-/// the join-step shapes; kNegProbe/kProject/kEmit form the program tail;
+/// the join-step shapes; kProject/kEmit form the program tail;
 /// kBindArg is compile-time metadata (which variables the preceding step
 /// binds), kept for --explain-plan and never executed.
 enum class KernelOpCode : uint8_t {
@@ -48,7 +48,6 @@ enum class KernelOpCode : uint8_t {
   kProbeColumn,   // Columnar probe with register-computed fingerprints.
   kSelectEq,      // Every variable already bound: one membership check.
   kBindArg,       // Metadata: variables newly bound by the previous step.
-  kNegProbe,      // Negative literal against the settled lower model.
   kProject,       // Metadata: the head's variable set.
   kEmit,          // All steps matched: hand the bindings to the sink.
 };
@@ -78,7 +77,7 @@ struct KernelKey {
 
 struct KernelOp {
   KernelOpCode code = KernelOpCode::kEmit;
-  TermId atom = kNoTerm;  // Scan/probe/select/neg: the literal's atom.
+  TermId atom = kNoTerm;  // Scan/probe/select: the literal's atom.
   bool from_delta = false;  // Join steps: source is the semi-naive delta.
   KernelSrc name_src = KernelSrc::kConst;
   TermId name = kNoTerm;    // Predicate-name source (per name_src).
@@ -89,13 +88,12 @@ struct KernelOp {
 };
 
 /// A compiled rule body: flat ops in execution order (join steps each
-/// followed by their kBindArg marker, then kNegProbe*, kProject, kEmit),
-/// immutable once built and shared across threads by shared_ptr.
+/// followed by their kBindArg marker, then kProject, kEmit), immutable
+/// once built and shared across threads by shared_ptr.
 struct KernelProgram {
   std::vector<KernelOp> ops;
   std::vector<KernelKey> keys;
   std::vector<uint32_t> scan_ops;  // Indices of the join-step ops.
-  size_t tail_begin = 0;           // First op after the last join step.
   std::vector<size_t> order;  // Planner order: order[i] = body position
                               // (among positive literals) of step i.
   size_t delta_pos = SIZE_MAX;  // Pinned delta position, if any.
@@ -108,19 +106,15 @@ struct KernelProgram {
 struct KernelContext {
   const FactBase* facts = nullptr;
   const FactBase* delta = nullptr;  // Source of from_delta steps.
-  const FactBase* neg = nullptr;    // kNegProbe target; null skips the
-                                    // negative checks (the positive-
-                                    // projection evaluators).
   bool facts_frozen = false;  // Sink provably never inserts into *facts.
   std::vector<std::vector<TermId>>* scratch = nullptr;
 };
 
 /// Runs a compiled program: enumerates every substitution that matches
-/// all join steps (delta-restricted where compiled so) and survives the
-/// kNegProbe checks, calling `sink` per match. Returns false iff the
-/// sink ever returned false (early exit). `subst` carries the bindings;
-/// callers pass it empty (the compiler's boundness analysis assumes no
-/// variable is bound at entry).
+/// all join steps (delta-restricted where compiled so), calling `sink`
+/// per match. Returns false iff the sink ever returned false (early
+/// exit). `subst` carries the bindings; callers pass it empty (the
+/// compiler's boundness analysis assumes no variable is bound at entry).
 bool RunKernel(TermStore& store, const KernelProgram& program,
                const KernelContext& ctx, Substitution* subst,
                const std::function<bool(const Substitution&)>& sink);
@@ -208,7 +202,6 @@ class KernelCache {
     TermId head = kNoTerm;
     std::vector<std::pair<uint8_t, TermId>> body_sig;
     std::vector<TermId> pos_atoms;  // Positive body atoms, textual order.
-    std::vector<TermId> neg_atoms;  // Negative body atoms, textual order.
     std::vector<JoinAtomInfo> info;  // Parallel to pos_atoms.
     std::vector<Variant> variants;
   };
@@ -242,9 +235,8 @@ bool WorthCompiling(const TermStore& store, const Rule& rule);
 /// planner's order: the literal at `delta_pos` (among the positive
 /// literals; SIZE_MAX for none) first and against ctx.delta, the rest
 /// by arity (descending), then name-bucket size in ctx.facts
-/// (ascending), then textual position. When ctx.neg is set the negative
-/// literals follow as kNegProbe checks in textual order. If every check
-/// passes, `sink` is called once with the empty substitution. Bumps the
+/// (ascending), then textual position. Negative literals are not checked.
+/// If every probe hits, `sink` is called once with the empty substitution. Bumps the
 /// probe and match counters a kSelectEq step bumps, but no kernel.*
 /// counter. Returns false iff the sink returned false.
 bool RunGroundBody(TermStore& store, const Rule& rule,

@@ -8,7 +8,6 @@
 
 #include "src/eval/cancel.h"
 #include "src/eval/kernel.h"
-#include "src/eval/worker_pool.h"
 #include "src/lang/printer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -614,17 +613,12 @@ namespace {
 
 using PlanComponent = SchedulerPlan::Component;
 
-/// Output of solving one batch of same-depth components. When the batch
-/// ran on a worker, `clone` holds its private term store and every id in
-/// the per-component vectors below `base_size` is shared with the main
-/// store while ids at or above it must be re-interned (RemapClone).
+/// Output of solving one wave's unsettled components as one batch.
 struct BatchResult {
   bool ok = true;
   std::string error;
   bool truncated = false;
   bool cancelled = false;
-  std::unique_ptr<TermStore> clone;
-  size_t base_size = 0;
   struct PerComponent {
     std::vector<GroundRule> ground;
     std::vector<TermId> true_atoms;
@@ -633,34 +627,24 @@ struct BatchResult {
     bool locally_stratified = true;
   };
   std::vector<PerComponent> comps;  // Parallel to the batch's plan list.
-  SchedulerStats stats;
-  obs::MetricsRegistry metrics;            // Worker-local sink (parallel).
-  std::unique_ptr<obs::TraceBuffer> trace;  // Worker-local lane (parallel).
 };
 
-/// Trace ring per parallel batch; merged into the caller's buffer after
-/// the wave joins, so per-batch spans survive without contending on the
-/// shared ring during the solve.
-constexpr size_t kWorkerTraceCapacity = 1024;
-
 /// Grounds, resolves, and settles one batch of same-depth components
-/// against `store` (the caller's store, or a worker's private clone).
-/// Components at equal depth share no dependency edges, so one grounding
-/// call over the concatenated rules and one atom-SCC pass over the union
-/// resolution produce, for each component, exactly the ground instances
-/// and truth values a solo run would have — the batch only amortizes the
-/// per-component passes. `support_true`/`support_all` are read-only here
-/// (Contains/WithName), which is what makes concurrent batches safe.
+/// against `store`, adding its work to `stats`. Components at equal depth
+/// share no dependency edges, so one grounding call over the concatenated
+/// rules and one atom-SCC pass over the union resolution produce, for
+/// each component, exactly the ground instances and truth values a solo
+/// run would have — the batch only amortizes the per-component passes.
 void SolveBatch(TermStore& store, const BottomUpOptions& options, bool exact,
                 const std::vector<const PlanComponent*>& comps,
                 const FactBase& support_true, const FactBase& support_all,
-                BatchResult* out) {
+                BatchResult* out, SchedulerStats* stats) {
   out->comps.resize(comps.size());
   obs::Count(obs::Counter::kSchedComponents, comps.size());
-  out->stats.components += comps.size();
+  stats->components += comps.size();
   // Spans ground + resolve + atom-SCC solve for the whole batch (one
-  // span per batch keeps the win-chain trace shape of the sequential
-  // scheduler, where every batch is a single component).
+  // span per wave keeps the win-chain trace shape, where every wave is a
+  // single component).
   obs::ScopedTraceSpan batch_span("sched.component");
 
   // Fact-only components settle without grounding or an atom-SCC pass:
@@ -694,10 +678,10 @@ void SolveBatch(TermStore& store, const BottomUpOptions& options, bool exact,
     }
     pc.envelope_size = pc.true_atoms.size();
     fact_atoms += pc.true_atoms.size();
-    out->stats.atom_sccs += pc.true_atoms.size();
-    out->stats.trivial_sccs += pc.true_atoms.size();
+    stats->atom_sccs += pc.true_atoms.size();
+    stats->trivial_sccs += pc.true_atoms.size();
     if (!pc.true_atoms.empty()) {
-      out->stats.largest_scc = std::max<size_t>(out->stats.largest_scc, 1);
+      stats->largest_scc = std::max<size_t>(stats->largest_scc, 1);
     }
   }
   if (fact_atoms > 0) {
@@ -866,8 +850,7 @@ void SolveBatch(TermStore& store, const BottomUpOptions& options, bool exact,
   }
 
   std::vector<TermId> negative_cycles;
-  WfsResult sub = ComputeWfsScc(resolved, &out->stats,
-                                /*count_model_atoms=*/false,
+  WfsResult sub = ComputeWfsScc(resolved, stats, /*count_model_atoms=*/false,
                                 &negative_cycles);
   if (sub.cancelled) {
     out->cancelled = true;
@@ -1051,13 +1034,11 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
   };
   size_t true_count = 0, undefined_count = 0;
 
-  const size_t threads = std::max<size_t>(options.eval_threads, 1);
   size_t max_wave_width = 0;
-  bool stop = false;
 
   for (const std::vector<uint32_t>& wave : shape.waves) {
     if (wave.empty()) continue;
-    if (stop || CancelRequested()) {
+    if (CancelRequested()) {
       result.cancelled = true;
       result.truncated = true;
       break;
@@ -1071,7 +1052,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
     // put dependencies at strictly smaller depths).
     std::vector<const ComponentCacheEntry*> replay(wave.size(), nullptr);
     std::vector<uint64_t> lower_signature(wave.size(), 0);
-    std::vector<size_t> to_solve;
+    std::vector<const PlanComponent*> batch_comps;  // The rest, in order.
     for (size_t i = 0; i < wave.size(); ++i) {
       const PlanComponent& comp = *plan.components[wave[i]];
       if (cached(comp)) {
@@ -1083,98 +1064,35 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
           continue;
         }
       }
-      to_solve.push_back(i);
+      batch_comps.push_back(&comp);
     }
 
     // Hydrate the support bases with exactly the lower names this wave's
-    // solves will read. Deterministic (to_solve order, then the
-    // component's first-reference lower-name order) and independent of
-    // eval_threads.
-    for (size_t i : to_solve) {
-      for (TermId name : plan.components[wave[i]]->lower_names) hydrate(name);
+    // solves will read, in batch order, then each component's
+    // first-reference lower-name order.
+    for (const PlanComponent* comp : batch_comps) {
+      for (TermId name : comp->lower_names) hydrate(name);
     }
 
-    // Contiguous batches in component-id order: every thread count
-    // publishes identical results, only the batch shapes change.
-    const size_t nbatches =
-        to_solve.empty() ? 0 : std::min(to_solve.size(), threads);
-    std::vector<std::vector<const PlanComponent*>> batch_comps(nbatches);
-    std::vector<size_t> batch_of(wave.size(), SIZE_MAX);
-    std::vector<size_t> index_in_batch(wave.size(), SIZE_MAX);
-    for (size_t k = 0; k < to_solve.size(); ++k) {
-      const size_t b = k * nbatches / to_solve.size();
-      batch_of[to_solve[k]] = b;
-      index_in_batch[to_solve[k]] = batch_comps[b].size();
-      batch_comps[b].push_back(plan.components[wave[to_solve[k]]].get());
-    }
-
-    std::vector<BatchResult> batches(nbatches);
-    const bool parallel = threads > 1 && nbatches > 1;
-    if (!parallel) {
-      // Sequential: the wave is (at most) one batch solved in place on
-      // the caller's store — same-depth batching with zero clone cost.
-      for (size_t b = 0; b < nbatches; ++b) {
-        SolveBatch(store, options, exact, batch_comps[b], support_true,
-                   support_all, &batches[b]);
-      }
-    } else {
-      CancelToken* token = CurrentCancelToken();
-      obs::TraceBuffer* parent_trace = obs::CurrentTrace();
-      for (size_t b = 0; b < nbatches; ++b) {
-        batches[b].clone = std::make_unique<TermStore>();
-        batches[b].clone->CopyFrom(store);
-        batches[b].base_size = store.size();
-        if (parent_trace != nullptr) {
-          batches[b].trace = std::make_unique<obs::TraceBuffer>(
-              kWorkerTraceCapacity, /*tid=*/static_cast<uint32_t>(b + 1));
-        }
-      }
-      WorkerPool::Shared(threads).ParallelFor(nbatches, [&](size_t b) {
-        obs::ScopedObsContext obs_ctx(&batches[b].metrics,
-                                      batches[b].trace.get());
-        ScopedCancelToken cancel_ctx(token);
-        SolveBatch(*batches[b].clone, options, exact, batch_comps[b],
-                   support_true, support_all, &batches[b]);
-      });
-      // Fold the worker-local sinks into the caller's, in batch order
-      // (counters/phases add, gauges keep the high-water mark, trace
-      // lanes are rebased per batch).
-      for (BatchResult& batch : batches) {
-        if (obs::MetricsRegistry* metrics = obs::CurrentMetrics()) {
-          batch.metrics.MergeInto(metrics);
-        }
-        if (parent_trace != nullptr && batch.trace != nullptr) {
-          batch.trace->MergeInto(parent_trace);
-        }
-        obs::Count(obs::Counter::kSchedParallelWorkerMerges);
-        ++result.stats.worker_merges;
-      }
-    }
-
-    for (const BatchResult& batch : batches) {
-      result.stats.components += batch.stats.components;
-      result.stats.atom_sccs += batch.stats.atom_sccs;
-      result.stats.trivial_sccs += batch.stats.trivial_sccs;
-      result.stats.cyclic_sccs += batch.stats.cyclic_sccs;
-      result.stats.largest_scc =
-          std::max(result.stats.largest_scc, batch.stats.largest_scc);
-    }
-    if (!to_solve.empty()) {
+    // The wave's unsettled components solve as one batch, in place on the
+    // caller's store.
+    BatchResult batch;
+    if (!batch_comps.empty()) {
+      SolveBatch(store, options, exact, batch_comps, support_true, support_all,
+                 &batch, &result.stats);
       obs::Count(obs::Counter::kSchedParallelWaves);
       ++result.stats.waves;
-      max_wave_width = std::max(max_wave_width, to_solve.size());
-      size_t batched = 0;
-      for (const std::vector<const PlanComponent*>& bc : batch_comps) {
-        if (bc.size() > 1) batched += bc.size();
-      }
-      if (batched > 0) {
-        obs::Count(obs::Counter::kSchedParallelBatchedComponents, batched);
-        result.stats.batched_components += batched;
+      max_wave_width = std::max(max_wave_width, batch_comps.size());
+      if (batch_comps.size() > 1) {
+        obs::Count(obs::Counter::kSchedParallelBatchedComponents,
+                   batch_comps.size());
+        result.stats.batched_components += batch_comps.size();
       }
     }
 
-    // Publish in component-id order, replayed and solved alike.
-    std::vector<std::vector<TermId>> remap(nbatches);
+    // Publish in component-id order, replayed and solved alike; solved
+    // components come in batch order.
+    size_t solved = 0;
     for (size_t i = 0; i < wave.size(); ++i) {
       const PlanComponent& comp = *plan.components[wave[i]];
       if (replay[i] != nullptr) {
@@ -1190,13 +1108,12 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         undefined_count += entry.undefined_atoms.size();
         for (const NamePublish& np : entry.names) install_publish(np);
         result.envelope_size += entry.envelope_size;
+        result.truncated |= entry.truncated;
         result.locally_stratified &= entry.locally_stratified;
         obs::Count(obs::Counter::kSchedComponentsReused);
         ++result.stats.components_reused;
         continue;
       }
-      const size_t b = batch_of[i];
-      BatchResult& batch = batches[b];
       result.truncated |= batch.truncated;
       if (!batch.ok) {
         result.ok = false;
@@ -1206,20 +1123,14 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       if (batch.cancelled) {
         result.cancelled = true;
         result.truncated = true;
-        stop = true;
         break;
       }
-      BatchResult::PerComponent& pc = batch.comps[index_in_batch[i]];
-      if (batch.clone != nullptr && remap[b].empty()) {
-        remap[b] = ReinternSuffix(store, *batch.clone, batch.base_size);
-      }
-      auto map = [&](TermId t) {
-        return batch.clone == nullptr ? t : remap[b][t];
-      };
+      BatchResult::PerComponent& pc = batch.comps[solved++];
       ComponentCacheEntry entry;
       entry.signature = comp.signature;
       entry.lower_signature = lower_signature[i];
       entry.envelope_size = pc.envelope_size;
+      entry.truncated = batch.truncated;
       result.envelope_size += pc.envelope_size;
       entry.locally_stratified = pc.locally_stratified;
       result.locally_stratified &= pc.locally_stratified;
@@ -1238,16 +1149,14 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         }
         return pubs[slot->second];
       };
-      for (TermId a : pc.true_atoms) {
-        TermId atom = map(a);
+      for (TermId atom : pc.true_atoms) {
         entry.true_atoms.push_back(atom);
         NamePublish& np = pub_for(atom);
         np.sig = Mix(np.sig, atom);
         np.sig = Mix(np.sig, 1);
         np.true_atoms.push_back(atom);
       }
-      for (TermId a : pc.undefined_atoms) {
-        TermId atom = map(a);
+      for (TermId atom : pc.undefined_atoms) {
         entry.undefined_atoms.push_back(atom);
         NamePublish& np = pub_for(atom);
         np.sig = Mix(np.sig, atom);
@@ -1256,13 +1165,6 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
       }
       true_count += entry.true_atoms.size();
       undefined_count += entry.undefined_atoms.size();
-      if (batch.clone != nullptr) {
-        for (GroundRule& g : pc.ground) {
-          g.head = map(g.head);
-          for (TermId& a : g.pos) a = map(a);
-          for (TermId& a : g.neg) a = map(a);
-        }
-      }
       // The component's atom-table contribution, deduplicated within the
       // component: interning it reproduces what a CollectAtoms scan of
       // these rules would have added, and replays intern it directly.
@@ -1338,6 +1240,7 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
         slot = std::make_shared<const ComponentCacheEntry>(std::move(entry));
       }
     }
+    if (batch.cancelled) break;
   }
 
   // A completed exact solve proves which components exist; cache entries

@@ -90,8 +90,7 @@ GuardedProgram InstantiateGuardedNames(TermStore& store,
 /// components at the same depth share no dependency edges (an edge would
 /// force the dependent strictly deeper), so by the splitting property of
 /// the well-founded semantics they are independently solvable — the
-/// scheduler batches each depth into one *wave* and fans a wave's batches
-/// across the worker pool (src/eval/worker_pool.h).
+/// scheduler solves each depth as one *wave*.
 std::vector<uint32_t> CondensationDepths(const ProgramCondensation& cond);
 
 /// Work accounting for one scheduled evaluation (mirrors the sched.*
@@ -104,11 +103,10 @@ struct SchedulerStats {
   size_t cyclic_sccs = 0;
   size_t largest_scc = 0;
   // Wave execution (the sched.parallel.* metrics; docs/performance.md).
-  // Deterministic for a fixed program and eval_threads setting.
+  // Deterministic for a fixed program.
   size_t waves = 0;               // Waves that solved >= 1 component.
   size_t max_wave_width = 0;      // Most components solved in one wave.
   size_t batched_components = 0;  // Components sharing a multi-comp batch.
-  size_t worker_merges = 0;       // Batches solved on a cloned store.
   // Incremental maintenance (the inc.* metrics; docs/incremental.md).
   // When a dirty component re-solves over a warm cache, its previously
   // published atoms are conceptually overdeleted; the ones the re-solve
@@ -194,6 +192,9 @@ struct ComponentCacheEntry {
   };
   std::vector<NamePublish> names;
   size_t envelope_size = 0;
+  /// A budget truncated the envelope of the solve that made this entry, so
+  /// its rules and atoms may be partial; a replay reports it truncated too.
+  bool truncated = false;
   /// No atom SCC of the component's resolved ground program has a negative
   /// edge inside it: the reduced component of Figure 1 is locally
   /// stratified (see ComponentWfsResult::locally_stratified).
@@ -353,13 +354,10 @@ struct ComponentWfsResult {
 /// grounding or fixpoint work.
 ///
 /// Components at the same topological depth (CondensationDepths) are
-/// solved as one *wave*: they are batched together — one grounding call
-/// and one atom-SCC pass per batch instead of per component — and, when
-/// `options.eval_threads` > 1, the wave's batches run concurrently on
-/// the shared WorkerPool, each against a private clone of the term store
-/// whose new terms are re-interned into `store` afterwards. Results are
-/// published in component-id order regardless of batch shape, so models
-/// and answers are byte-identical at every thread count.
+/// solved as one *wave*: the wave's unsettled components are batched
+/// together on `store` — one grounding call and one atom-SCC pass per wave
+/// instead of per component. Results are published in component-id order,
+/// replayed and solved alike.
 ///
 /// `need_ground` controls whether the result's `ground` program is
 /// materialized. Stable-model enumeration needs it; the well-founded path

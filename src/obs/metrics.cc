@@ -46,8 +46,6 @@ const char* CounterName(Counter c) {
     case Counter::kSchedParallelWaves: return "sched.parallel.waves";
     case Counter::kSchedParallelBatchedComponents:
       return "sched.parallel.batched_components";
-    case Counter::kSchedParallelWorkerMerges:
-      return "sched.parallel.worker_merges";
     case Counter::kStableCandidates: return "stable.candidates";
     case Counter::kStableModels: return "stable.models";
     case Counter::kMagicFactsDerived: return "magic.facts_derived";

@@ -62,12 +62,9 @@ enum class Counter : uint16_t {
   kSchedTrivialSccs,       // Of those, acyclic singletons (no Gamma).
   kSchedCyclicSccs,        // Of those, run as alternating mini fixpoints.
   kSchedGroundAtoms,       // Atoms grounded across component programs.
-  // Parallel wave execution inside the scheduler. Deterministic for a
-  // fixed program *and* a fixed BottomUpOptions::eval_threads setting
-  // (batch shapes depend on the thread count, results never do).
+  // Wave execution inside the scheduler (one batch per depth wave).
   kSchedParallelWaves,              // Depth waves that solved >= 1 batch.
   kSchedParallelBatchedComponents,  // Components solved sharing a batch.
-  kSchedParallelWorkerMerges,       // Worker-store batches merged back.
   // Stable-model enumeration.
   kStableCandidates,  // Total-interpretation candidates tested.
   kStableModels,      // Candidates that passed the GL check.

@@ -27,31 +27,6 @@ void TermStore::CopyFrom(const TermStore& other) {
   fresh_counter_ = other.fresh_counter_;
 }
 
-std::vector<TermId> ReinternSuffix(TermStore& into, const TermStore& clone,
-                                   size_t base) {
-  std::vector<TermId> remap(clone.size());
-  for (size_t id = 0; id < base; ++id) remap[id] = static_cast<TermId>(id);
-  std::vector<TermId> args;
-  for (size_t id = base; id < clone.size(); ++id) {
-    TermId t = static_cast<TermId>(id);
-    switch (clone.kind(t)) {
-      case TermKind::kSymbol:
-        remap[id] = into.MakeSymbol(clone.text(t));
-        break;
-      case TermKind::kVariable:
-        remap[id] = into.MakeVariable(clone.text(t));
-        break;
-      case TermKind::kApply: {
-        args.clear();
-        for (TermId a : clone.apply_args(t)) args.push_back(remap[a]);
-        remap[id] = into.MakeApply(remap[clone.apply_name(t)], args);
-        break;
-      }
-    }
-  }
-  return remap;
-}
-
 TermId TermStore::MakeSymbol(std::string_view name) {
   auto it = symbol_index_.find(std::string(name));
   if (it != symbol_index_.end()) {

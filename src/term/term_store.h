@@ -45,10 +45,9 @@ class TermStore {
   /// Replaces this store's contents with a deep copy of `other`. Every
   /// TermId valid in `other` denotes the identical term in the copy, and
   /// new interning in the copy continues from `other.size()` upward —
-  /// which is what lets the parallel scheduler solve on a per-worker
-  /// clone and re-intern only the clone's new suffix back into the
-  /// original (src/eval/scheduler.cc). The copy shares nothing with
-  /// `other`; `other` is read-only during the call.
+  /// which is what lets Engine::Fork share id-keyed caches with the
+  /// engine it forked from. The copy shares nothing with `other`; `other`
+  /// is read-only during the call.
   void CopyFrom(const TermStore& other);
 
   /// Interns the symbol named `name`. In HiLog a symbol may be used as a
@@ -152,23 +151,13 @@ class TermStore {
   std::unordered_map<std::string, TermId> variable_index_;
   // Interned applications, open-addressed: a power-of-two table of term
   // ids (kNoTerm = empty) kept at most half full, probed linearly. Being
-  // flat, it copies in one block — CopyFrom backs every Engine::Fork and
-  // parallel batch clone, and a node-based index made that one allocation
-  // per interned term — and costs 8-16 bytes per term.
+  // flat, it copies in one block — CopyFrom backs every Engine::Fork, and
+  // a node-based index made that one allocation per interned term — and
+  // costs 8-16 bytes per term.
   std::vector<TermId> apply_slots_;
   size_t apply_count_ = 0;
   uint64_t fresh_counter_ = 0;
 };
-
-/// Re-interns the suffix of `clone` (ids >= `base`) into `into` and
-/// returns a remap table: remap[id in clone] = id in `into`. The clone
-/// must have been produced by CopyFrom(into-at-size-base) — ids below
-/// `base` map to themselves. Interning appends, so every sub-term of a
-/// new apply has a smaller id and is already remapped when the apply is
-/// processed; one forward pass suffices. This is how the parallel
-/// evaluators publish worker-store results back into the shared store.
-std::vector<TermId> ReinternSuffix(TermStore& into, const TermStore& clone,
-                                   size_t base);
 
 }  // namespace hilog
 

@@ -1,6 +1,7 @@
 #ifndef HILOG_WFS_STABLE_H_
 #define HILOG_WFS_STABLE_H_
 
+#include <string>
 #include <vector>
 
 #include "src/wfs/alternating.h"
@@ -17,8 +18,12 @@ struct StableModel {
 struct StableModelsResult {
   std::vector<StableModel> models;
   /// False if enumeration was cut short by `max_models` or by the branch
-  /// budget (too many undefined atoms).
+  /// budget (too many undefined atoms), or refused before it started.
   bool complete = true;
+  /// Why Engine::SolveStable refused to enumerate (no models, `complete`
+  /// false): the scheduler's error, "envelope truncated", or the bounded
+  /// Herbrand refusal. Empty for a budget cut or a cancellation.
+  std::string reason;
   /// Number of total-interpretation candidates tested.
   size_t candidates_checked = 0;
   /// Stopped early by the installed CancelToken (src/eval/cancel.h);

@@ -6,7 +6,7 @@
 //  - per-column watermarks catch up after interleaved inserts;
 //  - whole evaluations (semi-naive least model, component WFS, magic
 //    queries, the universal call/u_i encoding) reproduce the transcripts
-//    in tests/golden/column_join.txt at one and at four threads.
+//    in tests/golden/column_join.txt.
 
 #include <gtest/gtest.h>
 
@@ -125,8 +125,6 @@ const testing::GoldenFile& Golden() {
   return golden;
 }
 
-constexpr size_t kThreadCounts[] = {1, 4};
-
 class ColumnJoinPropertyTest : public ::testing::TestWithParam<unsigned> {
  protected:
   std::string Key(const std::string& family, const std::string& program) {
@@ -143,11 +141,9 @@ TEST_P(ColumnJoinPropertyTest, LeastModelMatchesGolden) {
       {"normal", testing::RandomRangeRestrictedNormalProgram(GetParam())},
       {"ground", testing::RandomGroundProgram(GetParam())}};
   for (const auto& [name, text] : programs) {
-    for (size_t threads : kThreadCounts) {
-      EXPECT_EQ(testing::LeastModelTranscript(text, threads),
-                GoldenRecord(Golden(), Key("least_model", name)))
-          << name << " threads " << threads << "\n" << text;
-    }
+    EXPECT_EQ(testing::LeastModelTranscript(text),
+              GoldenRecord(Golden(), Key("least_model", name)))
+        << name << "\n" << text;
   }
 }
 
@@ -156,12 +152,9 @@ TEST_P(ColumnJoinPropertyTest, UniversalEncodingMatchesGolden) {
   // candidates must flow through the sub-argument columns.
   const std::string text = testing::UniversalEncodingText(
       testing::RandomGameProgram(GetParam()));
-  for (size_t threads : kThreadCounts) {
-    const std::string model = testing::LeastModelTranscript(text, threads);
-    EXPECT_FALSE(model.empty()) << text;
-    EXPECT_EQ(model, GoldenRecord(Golden(), Key("universal", "")))
-        << "threads " << threads << "\n" << text;
-  }
+  const std::string model = testing::LeastModelTranscript(text);
+  EXPECT_FALSE(model.empty()) << text;
+  EXPECT_EQ(model, GoldenRecord(Golden(), Key("universal", ""))) << text;
 }
 
 TEST_P(ColumnJoinPropertyTest, ComponentWfsMatchesGolden) {
@@ -169,11 +162,9 @@ TEST_P(ColumnJoinPropertyTest, ComponentWfsMatchesGolden) {
       {"game_cyclic", testing::RandomGameProgram(GetParam(), /*cyclic=*/true)},
       {"normal", testing::RandomRangeRestrictedNormalProgram(GetParam())}};
   for (const auto& [name, text] : programs) {
-    for (size_t threads : kThreadCounts) {
-      EXPECT_EQ(testing::ComponentWfsTranscript(text, threads),
-                GoldenRecord(Golden(), Key("component_wfs", name)))
-          << name << " threads " << threads << "\n" << text;
-    }
+    EXPECT_EQ(testing::ComponentWfsTranscript(text),
+              GoldenRecord(Golden(), Key("component_wfs", name)))
+        << name << "\n" << text;
   }
 }
 
@@ -181,11 +172,9 @@ TEST_P(ColumnJoinPropertyTest, MagicQueryMatchesGolden) {
   // Answer order is part of the contract too.
   const std::string text =
       testing::RandomGameProgram(GetParam(), /*cyclic=*/true);
-  for (size_t threads : kThreadCounts) {
-    EXPECT_EQ(testing::MagicQueryTranscript(text, "winning(mv0)(X)", threads),
-              GoldenRecord(Golden(), Key("magic", "")))
-        << "threads " << threads << "\n" << text;
-  }
+  EXPECT_EQ(testing::MagicQueryTranscript(text, "winning(mv0)(X)"),
+            GoldenRecord(Golden(), Key("magic", "")))
+      << text;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnJoinPropertyTest,

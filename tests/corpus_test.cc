@@ -76,6 +76,7 @@ TEST(CorpusTest, TcHlHerbrandSolveIsRefusedNotPartial) {
   StableModelsResult stable = engine.SolveStable();
   EXPECT_FALSE(stable.complete);
   EXPECT_TRUE(stable.models.empty());
+  EXPECT_EQ(stable.reason, wfs.notes);
   EXPECT_EQ(engine.metrics().value(obs::Counter::kGroundInstances), 0u);
 }
 
@@ -88,6 +89,16 @@ TEST(CorpusTest, PartsHl) {
   TermId spokes =
       *ParseTerm(engine.store(), "contains(bike,bicycle,spoke,94)");
   EXPECT_TRUE(result.facts.Contains(spokes));
+  // The relevance solve refuses the aggregate rules, and stable-model
+  // enumeration says so instead of reading as a budget trip.
+  StableModelsResult stable = engine.SolveStable();
+  EXPECT_FALSE(stable.complete);
+  EXPECT_TRUE(stable.models.empty());
+  EXPECT_EQ(stable.reason.rfind("aggregate/builtin literals require the "
+                                "aggregate evaluator",
+                                0),
+            0u)
+      << stable.reason;
 }
 
 TEST(CorpusTest, NegationZooHl) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace hilog {
 namespace {
 
@@ -92,6 +94,49 @@ TEST(EngineTest, HerbrandGroundingWithoutAggregateRulesIsRefused) {
   StableModelsResult stable = engine.SolveStable();
   EXPECT_FALSE(stable.complete);
   EXPECT_TRUE(stable.models.empty());
+  EXPECT_EQ(stable.reason, answer.notes);
+}
+
+// A relevance solve that a budget truncates has no stable models to
+// enumerate: SolveStable refuses with SolveWellFounded's note instead of
+// presenting the truncated model as a complete enumeration, whether it
+// solves cold or replays the components a truncated SolveWellFounded
+// cached; and a replayed solve stays inexact.
+TEST(EngineTest, SolveStableRefusesATruncatedRelevanceSolve) {
+  std::string text = "t(X,Y) :- e(X,Y).\nt(X,Z) :- t(X,Y), e(Y,Z).\n";
+  for (int i = 0; i < 12; ++i) {
+    text += "e(n" + std::to_string(i) + ",n" + std::to_string(i + 1) + ").\n";
+  }
+  EngineOptions options;
+  options.bottomup.max_facts = 10;
+  for (bool wfs_first : {true, false}) {
+    SCOPED_TRACE(wfs_first ? "SolveWellFounded first" : "cold");
+    Engine engine(options);
+    ASSERT_EQ(engine.Load(text), "");
+    if (wfs_first) {
+      Engine::WfsAnswer wfs = engine.SolveWellFounded();
+      ASSERT_TRUE(wfs.ok);
+      EXPECT_FALSE(wfs.exact);
+      EXPECT_EQ(wfs.notes, "envelope truncated");
+    }
+    StableModelsResult stable = engine.SolveStable();
+    EXPECT_FALSE(stable.complete);
+    EXPECT_TRUE(stable.models.empty());
+    EXPECT_EQ(stable.reason, "envelope truncated");
+    Engine::WfsAnswer replayed = engine.SolveWellFounded();
+    EXPECT_GT(replayed.sched.components_reused, 0u);
+    EXPECT_FALSE(replayed.exact);
+    EXPECT_EQ(replayed.notes, "envelope truncated");
+  }
+
+  // Without the budget the one stable model has all 90 true atoms.
+  Engine full;
+  ASSERT_EQ(full.Load(text), "");
+  StableModelsResult exact = full.SolveStable();
+  EXPECT_TRUE(exact.complete);
+  EXPECT_TRUE(exact.reason.empty());
+  ASSERT_EQ(exact.models.size(), 1u);
+  EXPECT_EQ(exact.models[0].true_atoms.size(), 12u + 78u);
 }
 
 TEST(EngineTest, SolveStable) {

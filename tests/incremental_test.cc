@@ -142,11 +142,8 @@ std::vector<Delta> RandomDeltas(const std::string& base, unsigned seed,
 // engine loading the composed text. Optionally cross-checks a query.
 void CheckMaintainedMatchesFresh(const std::string& base,
                                  const std::vector<Delta>& deltas,
-                                 size_t eval_threads,
                                  const std::string& query = "") {
-  EngineOptions options;
-  options.bottomup.eval_threads = eval_threads;
-  Engine maintained(options);
+  Engine maintained;
   ASSERT_EQ(maintained.Load(base), "");
   ASSERT_TRUE(maintained.SolveWellFounded().ok);
   std::string composed = base;
@@ -160,13 +157,12 @@ void CheckMaintainedMatchesFresh(const std::string& base,
     ExpectPlanMatchesFresh(maintained, "step " + std::to_string(step) +
                                            "\nprogram:\n" + composed);
 
-    Engine fresh(options);
+    Engine fresh;
     ASSERT_EQ(fresh.Load(composed), "");
     Engine::WfsAnswer want = fresh.SolveWellFounded();
     ASSERT_TRUE(want.ok);
     EXPECT_EQ(ModelText(maintained, got), ModelText(fresh, want))
-        << "step " << step << " threads " << eval_threads << "\nprogram:\n"
-        << composed;
+        << "step " << step << "\nprogram:\n" << composed;
 
     if (!query.empty()) {
       Engine::QueryAnswer got_q = maintained.Query(query);
@@ -198,9 +194,7 @@ TEST_P(IncrementalEquivalenceTest, GroundNormalPrograms) {
                                    "a8.",          "a9 :- ~a1.",
                                    "a2 :- a8, ~a9.", "a5."};
   std::vector<Delta> deltas = RandomDeltas(base, seed * 31 + 1, 3, pool);
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    CheckMaintainedMatchesFresh(base, deltas, threads);
-  }
+  CheckMaintainedMatchesFresh(base, deltas);
 }
 
 TEST_P(IncrementalEquivalenceTest, RangeRestrictedNormalPrograms) {
@@ -209,9 +203,7 @@ TEST_P(IncrementalEquivalenceTest, RangeRestrictedNormalPrograms) {
   std::vector<std::string> pool = {"p(a).", "q(c).", "s(b).", "r(a).",
                                    "q(X) :- r(X), ~s(X)."};
   std::vector<Delta> deltas = RandomDeltas(base, seed * 31 + 7, 3, pool);
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    CheckMaintainedMatchesFresh(base, deltas, threads, "p(X)");
-  }
+  CheckMaintainedMatchesFresh(base, deltas, "p(X)");
 }
 
 TEST_P(IncrementalEquivalenceTest, HiLogGameProgramsWithNegationCycles) {
@@ -224,9 +216,7 @@ TEST_P(IncrementalEquivalenceTest, HiLogGameProgramsWithNegationCycles) {
                                    "mv0(n0,n3).", "game(mv7).",
                                    "mv7(n0,n1).", "mv7(n1,n0)."};
   std::vector<Delta> deltas = RandomDeltas(base, seed * 31 + 13, 3, pool);
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    CheckMaintainedMatchesFresh(base, deltas, threads, "winning(mv0)(X)");
-  }
+  CheckMaintainedMatchesFresh(base, deltas, "winning(mv0)(X)");
 }
 
 // The universal call/u_i encoding collapses every predicate into one
@@ -247,9 +237,7 @@ TEST_P(IncrementalEquivalenceTest, UniversalEncodingPrograms) {
       "call(u3(m,n2,n0)).", "call(u3(m,n5,n2)).", "call(u3(m,n0,n4)).",
       "call(u3(m,n1,n1)).", "call(u3(m,n3,n0))."};
   std::vector<Delta> deltas = RandomDeltas(base, seed * 31 + 17, 3, pool);
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    CheckMaintainedMatchesFresh(base, deltas, threads, "call(u2(w,X))");
-  }
+  CheckMaintainedMatchesFresh(base, deltas, "call(u2(w,X))");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceTest,
@@ -346,37 +334,33 @@ TEST(IncrementalTest, PlanIsPatchedOrRebuiltByDeltaShape) {
       {"t(X) :- p(X).", "", 1},        // A rule.
       {"mv2(z,x).", "mv2(x,y).", 0},   // Both halves on one relation.
   };
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    EngineOptions options;
-    options.bottomup.eval_threads = threads;
-    Engine engine(options);
-    ASSERT_EQ(engine.Load(base), "");
-    ASSERT_TRUE(engine.SolveWellFounded().ok);
-    EXPECT_EQ(engine.metrics().value(obs::Counter::kSchedPlansBuilt), 1u);
-    std::string composed = base;
-    for (const Step& step : steps) {
-      const std::string context = std::string("add '") + step.add +
-                                  "' retract '" + step.retract + "'";
-      engine.metrics().Reset();
-      std::vector<size_t> removed;
-      ASSERT_EQ(engine.ApplyDelta(step.add, step.retract, &removed), "")
-          << context;
-      composed = ComposeDeltaText(composed, removed, step.add);
-      Engine::WfsAnswer got = engine.SolveWellFounded();
-      ASSERT_TRUE(got.ok) << context;
-      const obs::MetricsRegistry& m = engine.metrics();
-      EXPECT_EQ(m.value(obs::Counter::kSchedPlansBuilt), step.built)
-          << context;
-      EXPECT_EQ(m.value(obs::Counter::kSchedPlansReused), 1 - step.built)
-          << context;
-      ExpectPlanMatchesFresh(engine, context);
+  Engine engine;
+  ASSERT_EQ(engine.Load(base), "");
+  ASSERT_TRUE(engine.SolveWellFounded().ok);
+  EXPECT_EQ(engine.metrics().value(obs::Counter::kSchedPlansBuilt), 1u);
+  std::string composed = base;
+  for (const Step& step : steps) {
+    const std::string context = std::string("add '") + step.add +
+                                "' retract '" + step.retract + "'";
+    engine.metrics().Reset();
+    std::vector<size_t> removed;
+    ASSERT_EQ(engine.ApplyDelta(step.add, step.retract, &removed), "")
+        << context;
+    composed = ComposeDeltaText(composed, removed, step.add);
+    Engine::WfsAnswer got = engine.SolveWellFounded();
+    ASSERT_TRUE(got.ok) << context;
+    const obs::MetricsRegistry& m = engine.metrics();
+    EXPECT_EQ(m.value(obs::Counter::kSchedPlansBuilt), step.built)
+        << context;
+    EXPECT_EQ(m.value(obs::Counter::kSchedPlansReused), 1 - step.built)
+        << context;
+    ExpectPlanMatchesFresh(engine, context);
 
-      Engine fresh(options);
-      ASSERT_EQ(fresh.Load(composed), "");
-      EXPECT_EQ(ModelText(engine, got),
-                ModelText(fresh, fresh.SolveWellFounded()))
-          << context << "\nprogram:\n" << composed;
-    }
+    Engine fresh;
+    ASSERT_EQ(fresh.Load(composed), "");
+    EXPECT_EQ(ModelText(engine, got),
+              ModelText(fresh, fresh.SolveWellFounded()))
+        << context << "\nprogram:\n" << composed;
   }
 }
 

@@ -32,12 +32,10 @@ inline std::string ChainTc(int n) {
 // stratified model when the program admits one, each magic query's
 // answers in derivation order, and (for definite programs) the tabled
 // answers.
-inline std::string EngineTranscript(size_t threads, const std::string& text,
+inline std::string EngineTranscript(const std::string& text,
                                     const std::vector<std::string>& queries,
                                     const std::string& tabled_goal = "") {
-  EngineOptions options;
-  options.bottomup.eval_threads = threads;
-  Engine engine(options);
+  Engine engine;
   std::string out;
   std::string error = engine.Load(text);
   if (!error.empty()) return "parse error: " + error;
@@ -83,10 +81,8 @@ inline std::string EngineTranscript(size_t threads, const std::string& text,
 }
 
 // A maintenance solve after a delta with retraction, then a magic query.
-inline std::string DeltaPublishTranscript(size_t threads) {
-  EngineOptions options;
-  options.bottomup.eval_threads = threads;
-  Engine engine(options);
+inline std::string DeltaPublishTranscript() {
+  Engine engine;
   std::string out;
   std::string error =
       engine.Load(ChainTc(12) + "iso(a).\niso2(X) :- iso(X).\n");
@@ -111,15 +107,12 @@ inline std::string DeltaPublishTranscript(size_t threads) {
 
 // The least model of the positive projection, one fact per line in
 // derivation order.
-inline std::string LeastModelTranscript(const std::string& text,
-                                        size_t threads) {
+inline std::string LeastModelTranscript(const std::string& text) {
   TermStore store;
   ParseResult<Program> parsed = ParseProgram(store, text);
   if (!parsed.ok()) return "parse error: " + parsed.error;
-  BottomUpOptions options;
-  options.eval_threads = threads;
   BottomUpResult result =
-      LeastModelOfPositiveProjection(store, *parsed, options);
+      LeastModelOfPositiveProjection(store, *parsed, BottomUpOptions());
   std::string out = result.truncated ? "truncated\n" : "";
   for (TermId fact : result.facts.facts()) {
     out += store.ToString(fact) + "\n";
@@ -143,14 +136,12 @@ inline std::string UniversalEncodingText(const std::string& text) {
 }
 
 // The scheduler's well-founded true atoms in enumeration order.
-inline std::string ComponentWfsTranscript(const std::string& text,
-                                          size_t threads) {
+inline std::string ComponentWfsTranscript(const std::string& text) {
   TermStore store;
   ParseResult<Program> parsed = ParseProgram(store, text);
   if (!parsed.ok()) return "parse error: " + parsed.error;
-  BottomUpOptions options;
-  options.eval_threads = threads;
-  ComponentWfsResult result = SolveWfsByComponents(store, *parsed, options);
+  ComponentWfsResult result =
+      SolveWfsByComponents(store, *parsed, BottomUpOptions());
   if (!result.ok) return "error: " + result.error;
   std::string out;
   for (TermId atom : result.model.TrueAtoms()) {
@@ -161,11 +152,8 @@ inline std::string ComponentWfsTranscript(const std::string& text,
 
 // A magic-sets query's answers in derivation order.
 inline std::string MagicQueryTranscript(const std::string& text,
-                                        const std::string& query,
-                                        size_t threads) {
-  EngineOptions options;
-  options.bottomup.eval_threads = threads;
-  Engine engine(options);
+                                        const std::string& query) {
+  Engine engine;
   std::string error = engine.Load(text);
   if (!error.empty()) return "load error: " + error;
   Engine::QueryAnswer answer = engine.Query(query);

@@ -1,8 +1,7 @@
 // Golden equivalence for the join-kernel executor (src/eval/kernel.h):
 // every evaluator must reproduce the transcripts in
 // tests/golden/kernel_equivalence.txt byte for byte — same atoms, same
-// order — at one and at four evaluation threads, across delta publishes
-// with retraction. The kernel cache must also demonstrably serve the
+// order — across delta publishes with retraction. The kernel cache must also demonstrably serve the
 // second round of a semi-naive fixpoint.
 
 #include "src/eval/kernel.h"
@@ -31,17 +30,13 @@ const testing::GoldenFile& Golden() {
   return golden;
 }
 
-constexpr size_t kThreadCounts[] = {1, 4};
-
 TEST(KernelEquivalenceTest, GroundNormalProgramsMatchGolden) {
   for (unsigned seed = 0; seed < 25; ++seed) {
     const std::string text = testing::RandomGroundProgram(seed);
     const std::string key = "ground_normal seed=" + std::to_string(seed);
-    for (size_t threads : kThreadCounts) {
-      EXPECT_EQ(testing::EngineTranscript(threads, text, {"a0", "a1"}),
-                GoldenRecord(Golden(), key))
-          << key << " threads " << threads << "\n" << text;
-    }
+    EXPECT_EQ(testing::EngineTranscript(text, {"a0", "a1"}),
+              GoldenRecord(Golden(), key))
+        << key << "\n" << text;
   }
 }
 
@@ -51,11 +46,9 @@ TEST(KernelEquivalenceTest, NormalRangeRestrictedProgramsMatchGolden) {
         testing::RandomRangeRestrictedNormalProgram(seed);
     const std::string key =
         "normal_range_restricted seed=" + std::to_string(seed);
-    for (size_t threads : kThreadCounts) {
-      EXPECT_EQ(testing::EngineTranscript(threads, text, {"p(a)", "q(X)"}),
-                GoldenRecord(Golden(), key))
-          << key << " threads " << threads << "\n" << text;
-    }
+    EXPECT_EQ(testing::EngineTranscript(text, {"p(a)", "q(X)"}),
+              GoldenRecord(Golden(), key))
+        << key << "\n" << text;
   }
 }
 
@@ -65,23 +58,18 @@ TEST(KernelEquivalenceTest, HiLogGameProgramsMatchGolden) {
       const std::string text = testing::RandomGameProgram(seed, cyclic);
       const std::string key = "hilog_game seed=" + std::to_string(seed) +
                               " cyclic=" + std::to_string(cyclic);
-      for (size_t threads : kThreadCounts) {
-        EXPECT_EQ(testing::EngineTranscript(
-                      threads, text, {"winning(mv0)(X)", "winning(mv0)(n0)"}),
-                  GoldenRecord(Golden(), key))
-            << key << " threads " << threads << "\n" << text;
-      }
+      EXPECT_EQ(testing::EngineTranscript(
+                    text, {"winning(mv0)(X)", "winning(mv0)(n0)"}),
+                GoldenRecord(Golden(), key))
+          << key << "\n" << text;
     }
   }
 }
 
 TEST(KernelEquivalenceTest, TransitiveClosureWithTablingMatchesGolden) {
-  for (size_t threads : kThreadCounts) {
-    EXPECT_EQ(testing::EngineTranscript(threads, ChainTc(16),
-                                        {"t(n0,X)", "t(X,n16)"}, "t(n0,X)"),
-              GoldenRecord(Golden(), "tc_tabling"))
-        << "threads " << threads;
-  }
+  EXPECT_EQ(testing::EngineTranscript(ChainTc(16), {"t(n0,X)", "t(X,n16)"},
+                                      "t(n0,X)"),
+            GoldenRecord(Golden(), "tc_tabling"));
 }
 
 // The universal call/u_i encoding (Section 2) buries every joining term
@@ -89,22 +77,16 @@ TEST(KernelEquivalenceTest, TransitiveClosureWithTablingMatchesGolden) {
 // sub-argument key paths. Compare the least models fact by fact.
 TEST(KernelEquivalenceTest, UniversalEncodingMatchesGolden) {
   const std::string encoded = testing::UniversalEncodingText(ChainTc(12));
-  for (size_t threads : kThreadCounts) {
-    const std::string model = testing::LeastModelTranscript(encoded, threads);
-    EXPECT_EQ(model, GoldenRecord(Golden(), "universal_tc"))
-        << "threads " << threads;
-    EXPECT_NE(model.find("call(u3(t,n0,n12))"), std::string::npos);
-  }
+  const std::string model = testing::LeastModelTranscript(encoded);
+  EXPECT_EQ(model, GoldenRecord(Golden(), "universal_tc"));
+  EXPECT_NE(model.find("call(u3(t,n0,n12))"), std::string::npos);
 }
 
 // Delta publishes with retraction: the maintenance solve after an
 // ApplyDelta must reproduce the golden transcript byte for byte.
 TEST(KernelEquivalenceTest, DeltaPublishWithRetractionMatchesGolden) {
-  for (size_t threads : kThreadCounts) {
-    EXPECT_EQ(testing::DeltaPublishTranscript(threads),
-              GoldenRecord(Golden(), "delta_publish"))
-        << "threads " << threads;
-  }
+  EXPECT_EQ(testing::DeltaPublishTranscript(),
+            GoldenRecord(Golden(), "delta_publish"));
 }
 
 // The point of the variant cache: from the second semi-naive round on,
@@ -145,8 +127,7 @@ TEST(KernelCacheTest, ForkClonesCompiledRules) {
 
 // Fully ground bodies run uncompiled: one membership probe per positive
 // literal — the delta literal first, then by arity (descending) and
-// bucket size (ascending) — then the negative checks, with nothing
-// compiled. A failed probe ends the body, so the probe count shows the
+// bucket size (ascending) — with nothing compiled. A failed probe ends the body, so the probe count shows the
 // order.
 TEST(KernelGroundBodyTest, ProbesInPlannerOrderWithoutCompiling) {
   TermStore store;
@@ -162,7 +143,6 @@ TEST(KernelGroundBodyTest, ProbesInPlannerOrderWithoutCompiling) {
   }
   KernelContext ctx;
   ctx.facts = &facts;
-  ctx.neg = &facts;
   int fired = 0;
   auto sink = [&](const Substitution& theta) {
     EXPECT_EQ(theta.size(), 0u);
@@ -194,10 +174,6 @@ TEST(KernelGroundBodyTest, ProbesInPlannerOrderWithoutCompiling) {
   EXPECT_EQ(probes(/*delta_pos=*/0), 0u);
   delta.Insert(store, T("flag"));
   EXPECT_EQ(probes(/*delta_pos=*/0), 4u);
-  EXPECT_EQ(fired, 2);
-  // A settled negative literal blocks the firing.
-  facts.Insert(store, T("blocked"));
-  EXPECT_EQ(probes(SIZE_MAX), 4u);
   EXPECT_EQ(fired, 2);
 }
 

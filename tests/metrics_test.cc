@@ -245,11 +245,9 @@ TEST(EngineMetricsTest, WinChainExactWfsCounters) {
   EXPECT_EQ(m.value(obs::Counter::kSchedGroundAtoms), 17u);
   EXPECT_EQ(m.gauge(obs::Gauge::kSchedLargestScc), 1u);
   // Wave execution: {m} at depth 0, {w} at depth 1 — two waves of width
-  // one, so nothing is batched and (at the default eval_threads=1)
-  // nothing runs on a worker-store clone.
+  // one, so nothing is batched.
   EXPECT_EQ(m.value(obs::Counter::kSchedParallelWaves), 2u);
   EXPECT_EQ(m.value(obs::Counter::kSchedParallelBatchedComponents), 0u);
-  EXPECT_EQ(m.value(obs::Counter::kSchedParallelWorkerMerges), 0u);
   EXPECT_EQ(m.gauge(obs::Gauge::kSchedParallelMaxWaveWidth), 1u);
   // True atoms: 8 move facts + w(n1), w(n3), w(n5), w(n7).
   EXPECT_EQ(m.value(obs::Counter::kWfsTrueAtoms), 12u);
@@ -533,46 +531,21 @@ std::string LayeredChains(int width, int depth) {
   return text;
 }
 
-// Satellite: the wave counters are exact and deterministic for a fixed
-// (program, eval_threads) pair, and the model is identical at every
-// thread count.
+// The wave counters are exact: every wave solves as one batch on the
+// caller's store.
 TEST(EngineMetricsTest, ParallelWaveCountersAreExact) {
   const std::string text = LayeredChains(/*width=*/6, /*depth=*/4);
 
-  EngineOptions parallel_options;
-  parallel_options.bottomup.eval_threads = 3;
   Engine sequential;
-  Engine parallel(parallel_options);
   ASSERT_EQ(sequential.Load(text), "");
-  ASSERT_EQ(parallel.Load(text), "");
   Engine::WfsAnswer a = sequential.SolveWellFounded();
-  Engine::WfsAnswer b = parallel.SolveWellFounded();
   ASSERT_TRUE(a.ok);
-  ASSERT_TRUE(b.ok);
-  EXPECT_EQ(a.ground_rules, b.ground_rules);
 
-  // 4 depths x 6 chains: 4 waves of width 6. Sequentially each wave is
-  // one 6-component batch on the caller's store (no worker merges); at 3
-  // threads each wave splits into 3 two-component clone batches.
+  // 4 depths x 6 chains: 4 waves of width 6, each one 6-component batch.
   const obs::MetricsRegistry& ms = sequential.metrics();
   EXPECT_EQ(ms.value(obs::Counter::kSchedParallelWaves), 4u);
   EXPECT_EQ(ms.value(obs::Counter::kSchedParallelBatchedComponents), 24u);
-  EXPECT_EQ(ms.value(obs::Counter::kSchedParallelWorkerMerges), 0u);
   EXPECT_EQ(ms.gauge(obs::Gauge::kSchedParallelMaxWaveWidth), 6u);
-
-  const obs::MetricsRegistry& mp = parallel.metrics();
-  EXPECT_EQ(mp.value(obs::Counter::kSchedParallelWaves), 4u);
-  EXPECT_EQ(mp.value(obs::Counter::kSchedParallelBatchedComponents), 24u);
-  EXPECT_EQ(mp.value(obs::Counter::kSchedParallelWorkerMerges), 12u);
-  EXPECT_EQ(mp.gauge(obs::Gauge::kSchedParallelMaxWaveWidth), 6u);
-
-  // Same components and atoms regardless of thread count.
-  EXPECT_EQ(ms.value(obs::Counter::kSchedComponents),
-            mp.value(obs::Counter::kSchedComponents));
-  EXPECT_EQ(ms.value(obs::Counter::kWfsTrueAtoms),
-            mp.value(obs::Counter::kWfsTrueAtoms));
-  EXPECT_EQ(ms.gauge(obs::Gauge::kAtomTableSize),
-            mp.gauge(obs::Gauge::kAtomTableSize));
 }
 
 // Stratified evaluation is the engine's own well-founded solve: cold, it

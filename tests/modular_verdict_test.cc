@@ -1,9 +1,9 @@
 // Engine::Analyze reads Figure 1's verdict off the engine's own
 // well-founded solve when that solve decides it (Figure1FitsSolve) and
 // runs the literal procedure otherwise. Either way its verdict and reason
-// must equal CheckModularHiLog's, in both call orders, after a delta, and
-// at every eval_threads setting; and Analyze must not change the model
-// the following SolveWellFounded prints.
+// must equal CheckModularHiLog's, in both call orders and after a delta;
+// and Analyze must not change the model the following SolveWellFounded
+// prints.
 
 #include <fstream>
 #include <sstream>
@@ -76,66 +76,63 @@ std::string LastFact(const Engine& engine) {
 // the same steps without Analyze. `additions` is applied as a delta
 // together with retracting the program's last fact. Returns the number of
 // Analyze calls that took the verdict from the solve.
-uint64_t CheckProgram(const std::string& text, EngineOptions options,
+uint64_t CheckProgram(const std::string& text, const EngineOptions& options,
                       const std::string& additions = "") {
   uint64_t from_solve = 0;
-  for (size_t threads : {1, 4}) {
-    options.bottomup.eval_threads = threads;
-    SCOPED_TRACE(text + "\neval_threads " + std::to_string(threads));
-    Engine plain(options);
-    EXPECT_EQ(plain.Load(text), "");
-    const std::string expected = Solved(plain);
+  SCOPED_TRACE(text);
+  Engine plain(options);
+  EXPECT_EQ(plain.Load(text), "");
+  const std::string expected = Solved(plain);
 
-    // Analyze, then solve.
-    {
-      Engine engine(options);
-      EXPECT_EQ(engine.Load(text), "");
-      Verdict literal = Literal(engine);
-      Verdict analyzed = Analyzed(engine);
-      EXPECT_EQ(analyzed.accepted, literal.accepted) << literal.reason;
-      EXPECT_EQ(analyzed.reason, literal.reason);
-      EXPECT_EQ(Solved(engine), expected);
-      // A second Analyze over the warm cache agrees too.
-      analyzed = Analyzed(engine);
-      EXPECT_EQ(analyzed.accepted, literal.accepted);
-      EXPECT_EQ(analyzed.reason, literal.reason);
-      from_solve += FromSolve(engine);
-      EXPECT_EQ(FromSolve(engine) +
-                    engine.metrics().value(obs::Counter::kModularLiteralRuns),
-                2u);
-    }
-    // Solve, then Analyze, then solve again.
-    {
-      Engine engine(options);
-      EXPECT_EQ(engine.Load(text), "");
-      EXPECT_EQ(Solved(engine), expected);
-      Verdict literal = Literal(engine);
-      Verdict analyzed = Analyzed(engine);
-      EXPECT_EQ(analyzed.accepted, literal.accepted) << literal.reason;
-      EXPECT_EQ(analyzed.reason, literal.reason);
-      EXPECT_EQ(Solved(engine), expected);
-      from_solve += FromSolve(engine);
-    }
-    // A fork of an analyzed engine, then a delta.
-    const std::string retract = LastFact(plain);
-    if (retract.empty() && additions.empty()) continue;
-    {
-      Engine engine(options);
-      Engine twin(options);
-      EXPECT_EQ(engine.Load(text), "");
-      EXPECT_EQ(twin.Load(text), "");
-      Analyzed(engine);
-      EXPECT_EQ(Solved(engine), Solved(twin));
-      std::unique_ptr<Engine> fork = engine.Fork();
-      EXPECT_EQ(fork->ApplyDelta(additions, retract), "");
-      EXPECT_EQ(twin.ApplyDelta(additions, retract), "");
-      Verdict literal = Literal(*fork);
-      Verdict analyzed = Analyzed(*fork);
-      EXPECT_EQ(analyzed.accepted, literal.accepted) << literal.reason;
-      EXPECT_EQ(analyzed.reason, literal.reason);
-      EXPECT_EQ(Solved(*fork), Solved(twin));
-      from_solve += FromSolve(*fork);
-    }
+  // Analyze, then solve.
+  {
+    Engine engine(options);
+    EXPECT_EQ(engine.Load(text), "");
+    Verdict literal = Literal(engine);
+    Verdict analyzed = Analyzed(engine);
+    EXPECT_EQ(analyzed.accepted, literal.accepted) << literal.reason;
+    EXPECT_EQ(analyzed.reason, literal.reason);
+    EXPECT_EQ(Solved(engine), expected);
+    // A second Analyze over the warm cache agrees too.
+    analyzed = Analyzed(engine);
+    EXPECT_EQ(analyzed.accepted, literal.accepted);
+    EXPECT_EQ(analyzed.reason, literal.reason);
+    from_solve += FromSolve(engine);
+    EXPECT_EQ(FromSolve(engine) +
+                  engine.metrics().value(obs::Counter::kModularLiteralRuns),
+              2u);
+  }
+  // Solve, then Analyze, then solve again.
+  {
+    Engine engine(options);
+    EXPECT_EQ(engine.Load(text), "");
+    EXPECT_EQ(Solved(engine), expected);
+    Verdict literal = Literal(engine);
+    Verdict analyzed = Analyzed(engine);
+    EXPECT_EQ(analyzed.accepted, literal.accepted) << literal.reason;
+    EXPECT_EQ(analyzed.reason, literal.reason);
+    EXPECT_EQ(Solved(engine), expected);
+    from_solve += FromSolve(engine);
+  }
+  // A fork of an analyzed engine, then a delta.
+  const std::string retract = LastFact(plain);
+  if (retract.empty() && additions.empty()) return from_solve;
+  {
+    Engine engine(options);
+    Engine twin(options);
+    EXPECT_EQ(engine.Load(text), "");
+    EXPECT_EQ(twin.Load(text), "");
+    Analyzed(engine);
+    EXPECT_EQ(Solved(engine), Solved(twin));
+    std::unique_ptr<Engine> fork = engine.Fork();
+    EXPECT_EQ(fork->ApplyDelta(additions, retract), "");
+    EXPECT_EQ(twin.ApplyDelta(additions, retract), "");
+    Verdict literal = Literal(*fork);
+    Verdict analyzed = Analyzed(*fork);
+    EXPECT_EQ(analyzed.accepted, literal.accepted) << literal.reason;
+    EXPECT_EQ(analyzed.reason, literal.reason);
+    EXPECT_EQ(Solved(*fork), Solved(twin));
+    from_solve += FromSolve(*fork);
   }
   return from_solve;
 }
@@ -156,8 +153,8 @@ class ModularVerdictTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(ModularVerdictTest, AcyclicGames) {
   const std::string text = testing::RandomGameProgram(GetParam());
   // Accepted games must take the solve's verdict, or this suite would not
-  // test it: four Analyze calls per thread count.
-  EXPECT_EQ(CheckProgram(text, EngineOptions(), "mv0(n0,n3).\n"), 8u);
+  // test it: all four Analyze calls.
+  EXPECT_EQ(CheckProgram(text, EngineOptions(), "mv0(n0,n3).\n"), 4u);
 }
 
 TEST_P(ModularVerdictTest, CyclicGames) {

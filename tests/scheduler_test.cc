@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,8 +21,6 @@
 #include "random_programs.h"
 #include "src/core/engine.h"
 #include "src/eval/scheduler.h"
-#include "src/eval/stratified.h"
-#include "src/eval/worker_pool.h"
 #include "src/ground/grounder.h"
 #include "src/lang/parser.h"
 #include "src/service/snapshot.h"
@@ -105,26 +102,6 @@ TEST_P(SchedulerPropertyTest, ComponentEvaluationEqualsMonolithic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPropertyTest,
                          ::testing::Range(1u, 41u));
-
-// Every atom of the model with its truth value, rendered to text in atom-
-// table order — byte-comparable across term stores. Because the scheduler
-// publishes in component-id order at every thread count, the sequences
-// (not just the sets) must match.
-std::vector<std::string> ModelStrings(const TermStore& store,
-                                      const Interpretation& model) {
-  std::vector<std::string> out;
-  const AtomTable& atoms = model.atoms();
-  for (uint32_t i = 0; i < atoms.size(); ++i) {
-    const char* value = "f";
-    switch (model.ValueAt(i)) {
-      case TruthValue::kTrue: value = "t"; break;
-      case TruthValue::kUndefined: value = "u"; break;
-      case TruthValue::kFalse: value = "f"; break;
-    }
-    out.push_back(std::string(value) + " " + store.ToString(atoms.atom(i)));
-  }
-  return out;
-}
 
 std::vector<std::string> GroundRuleStrings(const TermStore& store,
                                            const GroundProgram& ground) {
@@ -240,95 +217,6 @@ TEST(GuardInstantiationTest, UnguardedNamesFallBackToOneComponent) {
     EXPECT_FALSE(solve.instantiated) << text;
     EXPECT_EQ(solve.components, 1u) << text;
   }
-}
-
-// The tentpole's core contract: solving on N worker threads is
-// byte-identical to sequential — same model (atom-table order included)
-// and same ground program, in the same order.
-class ParallelEquivalenceTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ParallelEquivalenceTest, ParallelWfsMatchesSequentialByteForByte) {
-  const std::string text =
-      testing::RandomRangeRestrictedNormalProgram(GetParam());
-
-  auto solve = [&](size_t threads) {
-    auto store = std::make_unique<TermStore>();
-    ParseResult<Program> parsed = ParseProgram(*store, text);
-    EXPECT_TRUE(parsed.ok()) << parsed.error;
-    BottomUpOptions options;
-    options.eval_threads = threads;
-    ComponentWfsResult result = SolveWfsByComponents(*store, *parsed, options);
-    EXPECT_TRUE(result.ok) << result.error;
-    std::vector<std::string> out = ModelStrings(*store, result.model);
-    std::vector<std::string> rules = GroundRuleStrings(*store, result.ground);
-    out.insert(out.end(), rules.begin(), rules.end());
-    return out;
-  };
-
-  std::vector<std::string> sequential = solve(1);
-  for (size_t threads : {2u, 3u, 5u}) {
-    EXPECT_EQ(sequential, solve(threads)) << text << "\nthreads " << threads;
-  }
-}
-
-TEST_P(ParallelEquivalenceTest, ParallelStratifiedMatchesSequentialOrder) {
-  const std::string text =
-      testing::RandomRangeRestrictedNormalProgram(GetParam());
-
-  auto solve = [&](size_t threads, bool* ok) {
-    auto store = std::make_unique<TermStore>();
-    ParseResult<Program> parsed = ParseProgram(*store, text);
-    EXPECT_TRUE(parsed.ok()) << parsed.error;
-    BottomUpOptions options;
-    options.eval_threads = threads;
-    StratifiedEvalResult result = EvaluateStratified(*store, *parsed, options);
-    *ok = result.ok;
-    // Insertion order is the observable fact order (the CLI prints it),
-    // so compare the sequence, not the set.
-    std::vector<std::string> out;
-    for (TermId fact : result.facts.facts()) {
-      out.push_back(store->ToString(fact));
-    }
-    return out;
-  };
-
-  bool sequential_ok = false;
-  std::vector<std::string> sequential = solve(1, &sequential_ok);
-  if (!sequential_ok) return;  // Not stratified; nothing to compare.
-  for (size_t threads : {2u, 4u}) {
-    bool parallel_ok = false;
-    std::vector<std::string> parallel = solve(threads, &parallel_ok);
-    EXPECT_TRUE(parallel_ok) << text;
-    EXPECT_EQ(sequential, parallel) << text << "\nthreads " << threads;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalenceTest,
-                         ::testing::Range(1u, 41u));
-
-TEST(WorkerPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
-  WorkerPool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  pool.ParallelFor(hits.size(),
-                   [&](size_t i) { hits[i].fetch_add(1); });
-  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-  // n smaller than the worker count, and the degenerate sizes.
-  std::atomic<int> small{0};
-  pool.ParallelFor(2, [&](size_t) { small.fetch_add(1); });
-  EXPECT_EQ(small.load(), 2);
-  pool.ParallelFor(0, [&](size_t) { small.fetch_add(1); });
-  EXPECT_EQ(small.load(), 2);
-}
-
-TEST(WorkerPoolTest, SharedPoolGrowsToRequestedConcurrency) {
-  WorkerPool& a = WorkerPool::Shared(2);
-  EXPECT_GE(a.workers(), 1u);
-  WorkerPool& b = WorkerPool::Shared(4);
-  EXPECT_EQ(&a, &b);  // One process-wide pool.
-  EXPECT_GE(b.workers(), 3u);
-  // Shrinking requests never drop workers (they may be mid-job).
-  WorkerPool& c = WorkerPool::Shared(2);
-  EXPECT_GE(c.workers(), 3u);
 }
 
 TEST(SchedulerTest, WinChainSplitsIntoComponentsWithoutGamma) {
