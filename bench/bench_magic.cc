@@ -14,8 +14,9 @@
 namespace hilog {
 namespace {
 
-// Full WFS of the whole program (relevance grounding + alternating
-// fixpoint), the baseline a query would use without magic sets.
+// Full WFS of the whole program, the baseline a query would use without
+// magic sets. *Replay*: one engine is reused, so after the first iteration
+// this times a replay of the settled components, not a solve.
 void BM_FullWfs_GameChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
@@ -27,6 +28,21 @@ void BM_FullWfs_GameChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FullWfs_GameChain)->Range(16, 4096);
+
+// The *cold* baseline: Load plus a well-founded solve in a fresh engine
+// every iteration.
+void BM_ColdWfs_GameChain(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::string text = bench::WinMoveProgram(n);
+  for (auto _ : state) {
+    Engine engine;
+    engine.Load(text);
+    Engine::WfsAnswer answer = engine.SolveWellFounded();
+    benchmark::DoNotOptimize(answer.model.CountTrue());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ColdWfs_GameChain)->Range(16, 4096);
 
 // Magic query near the *end* of the chain: only O(1) of the graph is
 // relevant — query-directed evaluation should be ~flat in n.
@@ -71,6 +87,22 @@ void BM_MagicQuery_OneOfManyGames(benchmark::State& state) {
 }
 BENCHMARK(BM_MagicQuery_OneOfManyGames)->Range(2, 64);
 
+// A query near the end of game 0 of 64 positions, with 1, 16 or 256
+// games loaded: its explored fragment is the same, so any growth with
+// the loaded EDB is per-query overhead.
+void BM_MagicQuery_ManyGamesTail(benchmark::State& state) {
+  const int games = static_cast<int>(state.range(0));
+  Engine engine;
+  engine.Load(bench::HiLogGameProgram(games, 64));
+  for (auto _ : state) {
+    Engine::QueryAnswer answer = engine.Query("winning(mv0)(n60)");
+    benchmark::DoNotOptimize(answer.facts_derived);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MagicQuery_ManyGamesTail)->Arg(1)->Arg(16)->Arg(256);
+
+// Replay, like BM_FullWfs_GameChain.
 void BM_FullWfs_ManyGames(benchmark::State& state) {
   const int games = static_cast<int>(state.range(0));
   Engine engine;
@@ -89,8 +121,9 @@ void BM_MagicRewrite(benchmark::State& state) {
   TermStore store;
   auto parsed = ParseProgram(store, bench::HiLogGameProgram(games, 4));
   TermId query = *ParseTerm(store, "winning(mv0)(n0)");
+  FactBase edb = FactRows(store, *parsed, *BuildFactRelations(store, *parsed));
   MagicRewriteOptions options;
-  options.edb_names = FactOnlyPredicates(store, *parsed);
+  options.edb = &edb;
   for (auto _ : state) {
     MagicProgram magic = MagicRewrite(store, *parsed, query, options);
     benchmark::DoNotOptimize(magic.rules.size());
@@ -103,8 +136,8 @@ void BM_IndexedJoin_MagicMidChain(benchmark::State& state) {
   // Magic query halfway down a large win/move graph: the evaluator walks
   // n/2 positions, each probing m(X,Y) with X bound. The key columns
   // turn every probe from an O(n) bucket scan into an O(out-degree)
-  // lookup, and the indexed EDB preload replaces the per-name bucket
-  // append. 10k-100k edges.
+  // lookup; the EDB's columns are built once and probed in place by every
+  // query. 10k-100k edges.
   const int n = static_cast<int>(state.range(0));
   std::string query = "w(n" + std::to_string(n / 2) + ")";
   Engine engine;

@@ -22,11 +22,9 @@ std::unique_ptr<Engine> Engine::Fork() const {
   auto fork = std::make_unique<Engine>(options_);
   fork->store_.CopyFrom(store_);
   fork->program_ = program_;
-  fork->edb_names_cache_ = edb_names_cache_;
-  fork->edb_facts_base_ = edb_facts_base_;
-  fork->edb_cache_valid_ = edb_cache_valid_;
-  // Copies pointers only: settled entries and the plan are immutable and
-  // shared.
+  fork->edb_rows_ = edb_rows_;
+  // Copies pointers only: settled entries, the plan and the record are
+  // immutable and shared.
   fork->scheduler_cache_ = scheduler_cache_;
   // CopyFrom preserves TermIds, so the compiled programs' atom and
   // variable ids mean the same terms in the fork.
@@ -37,6 +35,7 @@ std::unique_ptr<Engine> Engine::Fork() const {
 std::string Engine::Load(std::string_view text) {
   program_ = Program();
   scheduler_cache_.Clear();
+  edb_rows_.reset();
   kernel_cache_.Clear();
   maintenance_pending_ = false;
   // No Prewarm on a cold load: the first solve touches every reachable
@@ -56,14 +55,11 @@ std::string Engine::LoadMore(std::string_view text) {
 std::string Engine::AppendProgram(std::string_view text, bool prewarm) {
   obs::ScopedObsContext obs_ctx(MetricsSink(), TraceSink());
   obs::ScopedPhaseTimer timer(obs::Phase::kLoad);
-  // The program is about to change; any cached EDB view is now stale
-  // regardless of whether the rule count ends up the same.
-  edb_cache_valid_ = false;
   ParseResult<Program> parsed = ParseProgram(store_, text);
   if (!parsed.ok()) return parsed.error;
   const size_t added_from = program_.size();
   for (Rule& rule : (*parsed).rules) program_.Add(std::move(rule));
-  PatchSchedulerPlan({}, added_from);
+  KeepOrDropRecord({}, added_from);
   if (prewarm) kernel_cache_.Prewarm(store_, program_);
   obs::SetGauge(obs::Gauge::kProgramRules, program_.size());
   obs::SetGauge(obs::Gauge::kTermStoreSize, store_.size());
@@ -78,55 +74,13 @@ std::string Engine::ApplyDelta(std::string_view additions,
   FactDelta delta;
   std::string error = ParseFactDelta(store_, additions, retractions, &delta);
   if (!error.empty()) return error;
-  error =
-      ApplyRetractions(store_, &program_, delta.retractions, removed_indices);
+  std::vector<TermId> removed;
+  error = ApplyRetractions(store_, &program_, delta.retractions,
+                           removed_indices, &removed);
   if (!error.empty()) return error;
-
-  // The EDB query cache stays warm when the delta provably keeps the set
-  // of fact-only predicates intact: every touched name is already a known
-  // EDB relation, every addition is a ground fact of one, and no
-  // retraction empties a relation (an emptied or newly fact-only name
-  // changes FactOnlyPredicates and with it the magic rewrite). Anything
-  // else invalidates; the next query rebuilds from the program.
-  if (edb_cache_valid_) {
-    bool safe = true;
-    for (TermId atom : delta.retractions) {
-      if (edb_names_cache_.count(store_.PredName(atom)) == 0) {
-        safe = false;
-        break;
-      }
-    }
-    if (safe) {
-      for (const Rule& rule : delta.additions.rules) {
-        if (!rule.IsFact() || !store_.IsGround(rule.head) ||
-            edb_names_cache_.count(store_.PredName(rule.head)) == 0) {
-          safe = false;
-          break;
-        }
-      }
-    }
-    if (safe) {
-      edb_facts_base_.EraseBatch(store_, delta.retractions);
-      for (TermId atom : delta.retractions) {
-        if (edb_facts_base_.WithName(store_.PredName(atom)).empty()) {
-          safe = false;
-          break;
-        }
-      }
-    }
-    if (safe) {
-      // Appending here reproduces the program-scan order a fresh refresh
-      // would build: survivors in original order, then the additions.
-      for (const Rule& rule : delta.additions.rules) {
-        edb_facts_base_.Insert(store_, rule.head);
-      }
-    }
-    if (!safe) edb_cache_valid_ = false;
-  }
-
   const size_t added_from = program_.size();
   for (Rule& rule : delta.additions.rules) program_.Add(std::move(rule));
-  PatchSchedulerPlan(delta.retractions, added_from);
+  KeepOrDropRecord(removed, added_from);
   // Only rules the delta introduced get front-end analysis here; the
   // structural cache already covers every survivor.
   kernel_cache_.Prewarm(store_, program_);
@@ -137,12 +91,29 @@ std::string Engine::ApplyDelta(std::string_view additions,
   return "";
 }
 
-void Engine::PatchSchedulerPlan(const std::vector<TermId>& retracted,
-                                size_t added_from) {
-  if (scheduler_cache_.plan == nullptr) return;
-  scheduler_cache_.plan =
-      hilog::PatchSchedulerPlan(store_, *scheduler_cache_.plan, retracted,
-                                program_, added_from);
+void Engine::KeepOrDropRecord(const std::vector<TermId>& removed,
+                              size_t added_from) {
+  SchedulerCache& cache = scheduler_cache_;
+  if (cache.relations != nullptr) {
+    cache.relations = KeepFactRelations(store_, *cache.relations, removed,
+                                        program_, added_from);
+  }
+  if (cache.relations == nullptr) {
+    cache.plan.reset();
+    edb_rows_.reset();
+    return;
+  }
+  if (edb_rows_) {
+    // Survivors keep their order and additions append, as a fresh build.
+    edb_rows_->EraseBatch(store_, removed);
+    for (size_t r = added_from; r < program_.size(); ++r) {
+      edb_rows_->Insert(store_, program_.rules[r].head);
+    }
+  }
+  if (cache.plan != nullptr) {
+    cache.plan = hilog::PatchSchedulerPlan(store_, *cache.plan, removed,
+                                           program_, added_from);
+  }
 }
 
 std::string Engine::Retract(std::string_view facts) {
@@ -349,19 +320,6 @@ AggregateEvalResult Engine::SolveAggregates() {
   return EvaluateWithAggregates(store_, program_, options_.aggregate);
 }
 
-void Engine::RefreshEdbCache() {
-  if (edb_cache_valid_) return;
-  edb_names_cache_ = FactOnlyPredicates(store_, program_);
-  edb_facts_base_.Clear();
-  for (const Rule& rule : program_.rules) {
-    if (!rule.IsFact() || !store_.IsGround(rule.head)) continue;
-    if (edb_names_cache_.count(store_.PredName(rule.head)) > 0) {
-      edb_facts_base_.Insert(store_, rule.head);
-    }
-  }
-  edb_cache_valid_ = true;
-}
-
 Engine::QueryAnswer Engine::Query(std::string_view query_text) {
   obs::ScopedObsContext obs_ctx(MetricsSink(), TraceSink());
   obs::ScopedPhaseTimer timer(obs::Phase::kQuery);
@@ -374,16 +332,17 @@ Engine::QueryAnswer Engine::Query(std::string_view query_text) {
     answer.error = parsed.error;
     return answer;
   }
-  RefreshEdbCache();
+  // The EDB: the record's rows, rebuilt only after a change it did not keep.
+  std::shared_ptr<const FactRelations>& relations = scheduler_cache_.relations;
+  if (relations == nullptr) relations = BuildFactRelations(store_, program_);
+  if (!edb_rows_) edb_rows_ = FactRows(store_, program_, *relations);
   MagicRewriteOptions rewrite_options;
-  rewrite_options.edb_names = edb_names_cache_;
-  rewrite_options.include_edb_facts = false;
+  rewrite_options.edb = &*edb_rows_;
   MagicProgram magic = [&] {
     obs::ScopedPhaseTimer rewrite_timer(obs::Phase::kMagicRewrite);
     return MagicRewrite(store_, program_, *parsed, rewrite_options);
   }();
-  MagicEvalResult result =
-      EvaluateMagic(store_, magic, options_.magic, &edb_facts_base_.facts());
+  MagicEvalResult result = EvaluateMagic(store_, magic, options_.magic);
   if (!result.error.empty()) {
     answer.ok = false;
     answer.cancelled = result.cancelled;

@@ -2,6 +2,7 @@
 #define HILOG_CORE_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -91,10 +92,10 @@ class Engine {
 
   /// Copies this engine into a fresh one: same options, a CopyFrom clone
   /// of the term store (every TermId means the same term in both), the
-  /// loaded program, the EDB caches, and — the point — the settled-
-  /// component scheduler cache and plan, so the fork's first well-founded
-  /// solve replays unchanged components instead of recomputing them. The
-  /// cache's entries and plan are immutable and shared, not copied.
+  /// loaded program, magic's EDB rows, and — the point — the scheduler
+  /// cache, so the fork's first well-founded solve replays unchanged
+  /// components instead of recomputing them. The cache's entries, plan and
+  /// fact-only relation record are immutable and shared, not copied.
   /// Metrics and trace start fresh. `this` is read-only during the call;
   /// the fork shares no mutable state with it afterwards (the snapshot
   /// store forks a published prototype to seed the next epoch's
@@ -203,8 +204,8 @@ class Engine {
   };
 
   /// Parses `query_text` as an atom and answers it with the magic-sets
-  /// rewriting + evaluator (Section 6.1). Predicates defined only by facts
-  /// are treated as EDB.
+  /// rewriting + evaluator (Section 6.1). The relations of the fact-only
+  /// relation record (FactRelations) are EDB, read in place.
   QueryAnswer Query(std::string_view query_text);
 
   /// Top-down SLD resolution for definite programs (paper, Section 2:
@@ -225,9 +226,9 @@ class Engine {
   /// Empirical Definition 5.1 check over the configured universe bound.
   DomainIndependenceResult CheckDomainIndependence(size_t extra_symbols = 2);
 
-  /// The scheduler's component cache: settled predicate components and the
-  /// plan, kept across solves, LoadMore and ApplyDelta (cleared by Load).
-  /// Exposed for tests and service diagnostics.
+  /// The scheduler's component cache: settled components, plan and fact-only
+  /// relation record, kept across solves, LoadMore and ApplyDelta (cleared
+  /// by Load). Exposed for tests and service diagnostics.
   const SchedulerCache& scheduler_cache() const { return scheduler_cache_; }
 
   /// The rule-compilation cache (src/eval/kernel.h): compiled kernel
@@ -253,13 +254,10 @@ class Engine {
   /// cost atoms, not ground-rule copies.
   ComponentWfsResult SolveByComponents(bool need_ground = false);
   std::string AppendProgram(std::string_view text, bool prewarm);
-  /// Keeps the scheduler plan in step with program_ after rules at
-  /// `added_from` and up were appended and the fact rules of `retracted`
-  /// removed: patched when the delta allows it, else dropped so the next
-  /// solve rebuilds it.
-  void PatchSchedulerPlan(const std::vector<TermId>& retracted,
-                          size_t added_from);
-  void RefreshEdbCache();
+  /// Keeps and patches the record, magic's EDB rows and the plan after a
+  /// change to program_ (as KeepFactRelations takes it), or drops all three.
+  void KeepOrDropRecord(const std::vector<TermId>& removed,
+                        size_t added_from);
   /// Sinks for ScopedObsContext honoring metrics_enabled.
   obs::MetricsRegistry* MetricsSink() {
     return options_.metrics_enabled ? &metrics_ : nullptr;
@@ -273,16 +271,9 @@ class Engine {
   Program program_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::TraceBuffer> trace_;
-  // Per-program EDB cache for magic queries: fact-only predicate names
-  // and their facts, preloaded into the evaluator so a query's cost does
-  // not scale with the EDB. Invalidated explicitly by Load/LoadMore (a
-  // same-size reload must not serve stale facts); ApplyDelta maintains it
-  // in place when the delta stays within known EDB relations, else
-  // invalidates. A FactBase rather than a plain vector so retraction can
-  // erase in place while preserving the program-scan insertion order.
-  std::unordered_set<TermId> edb_names_cache_;
-  FactBase edb_facts_base_;
-  bool edb_cache_valid_ = false;
+  // The rows of scheduler_cache_.relations, which magic queries probe in
+  // place: present only while the record is, and patched with it.
+  std::optional<FactBase> edb_rows_;
   // Set by ApplyDelta, consumed by the next relevance-path well-founded
   // solve: that solve is a maintenance pass and reports the
   // inc.components_resolved / inc.components_skipped counters.

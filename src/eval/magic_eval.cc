@@ -15,17 +15,21 @@ namespace hilog {
 namespace {
 
 // Fact store that admits non-ground facts, deduplicating up to variable
-// renaming. Ground facts live in a keyed FactBase (the same key columns
-// the bottom-up evaluators join through);
-// non-ground facts — rare, produced only by unsafe rewritten rules — stay
+// renaming. Ground facts live in two keyed FactBases (the key columns the
+// bottom-up evaluators join through): a frozen base, the EDB, probed in
+// place and never triggering rules (rewritten rules are driven by magic/sup
+// deltas), and the derived facts. A ground name lives in one of the two
+// (MagicRewriteOptions::edb), so a probe reads it as one store would.
+// Non-ground facts — rare, produced only by unsafe rewritten rules — stay
 // in small per-name side buckets.
 class VariantFactStore {
  public:
-  explicit VariantFactStore(TermStore& store) : store_(store) {}
+  VariantFactStore(TermStore& store, const FactBase* base)
+      : store_(store), base_(base != nullptr ? *base : kNoBase) {}
 
   bool Insert(TermId fact) {
     if (store_.IsGround(fact)) {
-      if (!ground_.Insert(store_, fact)) return false;
+      if (base_.Contains(fact) || !ground_.Insert(store_, fact)) return false;
       ordered_.push_back(fact);
       return true;
     }
@@ -43,25 +47,29 @@ class VariantFactStore {
     return true;
   }
 
-  bool ContainsGround(TermId fact) const { return ground_.Contains(fact); }
+  bool ContainsGround(TermId fact) const {
+    return Layer(store_.PredName(fact)).Contains(fact);
+  }
+  /// Skips the EDB rows, for atoms that cannot be one.
+  bool ContainsDerived(TermId fact) const { return ground_.Contains(fact); }
 
   // Candidate facts for joining against `pattern`: index-pruned ground
   // facts through the columnar batch probe, plus the non-ground facts
-  // sharing the pattern's ground name. The result is written into
-  // `*scratch` (a per-join-depth reusable buffer) — a snapshot, safe
-  // under concurrent Derive() insertions — and the span aliases it.
+  // sharing the pattern's ground name, written into `*scratch` (a
+  // per-join-depth buffer): a snapshot, safe under Derive() insertions.
   std::span<const TermId> CandidatesBatch(TermId pattern,
                                           std::vector<TermId>* scratch) const {
     TermId name = store_.PredName(pattern);
     if (!store_.IsGround(name)) {
-      scratch->assign(ordered_.begin(), ordered_.end());
+      scratch->assign(base_.facts().begin(), base_.facts().end());
+      scratch->insert(scratch->end(), ordered_.begin(), ordered_.end());
       return *scratch;
     }
-    const size_t baseline =
-        ground_.NameBucketSize(store_, pattern) +
-        NonGroundWithName(name).size();
-    ground_.CandidatesBatch(store_, pattern, scratch, /*frozen=*/false);
+    const FactBase& layer = Layer(name);
     const std::vector<TermId>& nonground = NonGroundWithName(name);
+    const size_t baseline =
+        layer.NameBucketSize(store_, pattern) + nonground.size();
+    layer.CandidatesBatch(store_, pattern, scratch, /*frozen=*/false);
     scratch->insert(scratch->end(), nonground.begin(), nonground.end());
     if (baseline > scratch->size()) {
       obs::Count(obs::Counter::kUnificationsAvoided,
@@ -85,54 +93,51 @@ class VariantFactStore {
   }
 
   std::vector<TermId> WithName(TermId name) const {
-    std::vector<TermId> out = ground_.WithName(name);
+    std::vector<TermId> out = Layer(name).WithName(name);
     const std::vector<TermId>& nonground = NonGroundWithName(name);
     out.insert(out.end(), nonground.begin(), nonground.end());
     return out;
   }
 
-  const std::vector<TermId>& all() const { return ordered_; }
-  size_t size() const { return ordered_.size(); }
+  size_t size() const { return base_.size() + ordered_.size(); }
 
   /// Relation-size estimate for the shared join planner: the pattern's
   /// name bucket (ground + non-ground + unnamed) or, for a variable
   /// predicate name, the whole store.
   size_t EstimateForPattern(TermId pattern) const {
     TermId name = store_.PredName(pattern);
-    if (!store_.IsGround(name)) return ordered_.size();
-    return ground_.WithName(name).size() + NonGroundWithName(name).size() +
-           NonGroundUnnamed().size();
+    if (!store_.IsGround(name)) return size();
+    return Layer(name).WithName(name).size() +
+           NonGroundWithName(name).size() + NonGroundUnnamed().size();
   }
 
  private:
+  const FactBase& Layer(TermId name) const {
+    return base_.WithName(name).empty() ? ground_ : base_;
+  }
+
   TermStore& store_;
+  const FactBase& base_;
   FactBase ground_;
   std::vector<TermId> ordered_;
   std::unordered_map<TermId, std::vector<TermId>> nonground_by_name_;
   static const std::vector<TermId> kEmpty;
+  static const FactBase kNoBase;
 };
 
 const std::vector<TermId> VariantFactStore::kEmpty;
+const FactBase VariantFactStore::kNoBase;
 
 class Evaluator {
  public:
   Evaluator(TermStore& store, const MagicProgram& magic,
-            const MagicEvalOptions& options,
-            const std::vector<TermId>* preloaded)
+            const MagicEvalOptions& options)
       : store_(store),
         magic_(magic),
         options_(options),
-        facts_(store),
+        facts_(store, magic.edb),
         kcache_(options.kernel_cache != nullptr ? options.kernel_cache
-                                                : &local_kernel_cache_) {
-    if (preloaded != nullptr) {
-      // EDB facts join as candidates; they never need to *trigger* rules
-      // (all rewritten rules are driven by magic/sup deltas), so they
-      // bypass the worklist.
-      for (TermId fact : *preloaded) facts_.Insert(fact);
-      obs::Count(obs::Counter::kMagicEdbPreloaded, preloaded->size());
-    }
-  }
+                                                : &local_kernel_cache_) {}
 
   MagicEvalResult Run() {
     // Index rule bodies: (rule, position) keyed by the literal's ground
@@ -201,7 +206,9 @@ class Evaluator {
       dn_of_[args[0]].push_back(args[1]);
     } else if (name == magic_.magic_sym && store_.arity(fact) == 2) {
       auto args = store_.apply_args(fact);
-      if (args[1] == magic_.minus_sym && store_.IsGround(args[0])) {
+      // A call already true never fires its box: the box loop skips EDB rows.
+      if (args[1] == magic_.minus_sym && store_.IsGround(args[0]) &&
+          !CurrentlyTrue(args[0])) {
         pending_minus_.push_back(args[0]);
       }
     }
@@ -308,9 +315,12 @@ class Evaluator {
   }
 
   // True if some fact subsumes the ground atom (i.e. the atom is
-  // "currently true").
-  bool CurrentlyTrue(TermId ground_atom) {
-    if (facts_.ContainsGround(ground_atom)) return true;
+  // "currently true"); `edb = false` skips the EDB rows.
+  bool CurrentlyTrue(TermId ground_atom, bool edb = true) {
+    if (edb ? facts_.ContainsGround(ground_atom)
+            : facts_.ContainsDerived(ground_atom)) {
+      return true;
+    }
     for (const std::vector<TermId>* bucket :
          {&facts_.NonGroundWithName(store_.PredName(ground_atom)),
           &facts_.NonGroundUnnamed()}) {
@@ -333,7 +343,7 @@ class Evaluator {
     for (size_t i = 0; i < pending_minus_.size(); ++i) {
       TermId p = pending_minus_[i];
       TermId box_p = store_.MakeApply(magic_.box_sym, {p});
-      if (facts_.ContainsGround(box_p) || CurrentlyTrue(p)) {
+      if (facts_.ContainsDerived(box_p) || CurrentlyTrue(p, false)) {
         continue;  // Settled: drop from the pending list.
       }
       bool all_settled = true;
@@ -341,7 +351,7 @@ class Evaluator {
       if (it != dn_of_.end()) {
         for (TermId q : it->second) {
           TermId dns_q = store_.MakeApply(magic_.dns_sym, {q});
-          if (!facts_.ContainsGround(dns_q)) {
+          if (!facts_.ContainsDerived(dns_q)) {
             all_settled = false;
             break;
           }
@@ -434,10 +444,9 @@ class Evaluator {
 }  // namespace
 
 MagicEvalResult EvaluateMagic(TermStore& store, const MagicProgram& magic,
-                              const MagicEvalOptions& options,
-                              const std::vector<TermId>* preloaded) {
+                              const MagicEvalOptions& options) {
   obs::ScopedPhaseTimer timer(obs::Phase::kMagicEval);
-  Evaluator evaluator(store, magic, options, preloaded);
+  Evaluator evaluator(store, magic, options);
   return evaluator.Run();
 }
 

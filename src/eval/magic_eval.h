@@ -59,13 +59,12 @@ struct MagicEvalResult {
 /// (open queries seed a non-ground magic atom) via unification joins with
 /// variant-based deduplication.
 ///
-/// `preloaded` (optional) supplies ground EDB facts directly, pairing
-/// with MagicRewriteOptions::include_edb_facts == false: the facts join
-/// as candidates without flowing through the derivation worklist, so a
-/// query's cost depends on the explored fragment, not on |EDB|.
+/// The EDB (MagicProgram::edb) is a frozen base layer under the derived
+/// facts: its rows join as candidates in place, never copied and never
+/// triggering rules, so a query's cost depends on the explored fragment,
+/// not on |EDB|. Its rows count toward max_facts.
 MagicEvalResult EvaluateMagic(TermStore& store, const MagicProgram& magic,
-                              const MagicEvalOptions& options,
-                              const std::vector<TermId>* preloaded = nullptr);
+                              const MagicEvalOptions& options);
 
 }  // namespace hilog
 

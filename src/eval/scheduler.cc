@@ -63,6 +63,17 @@ uint64_t ComponentSignature(const SchedulerPlan::Component& comp) {
   return h;
 }
 
+// A variable in the rule's head name or in some body literal's name.
+bool HasVariableName(const TermStore& store, const Rule& rule) {
+  if (!store.IsGround(store.PredName(rule.head))) return true;
+  for (const Literal& lit : rule.body) {
+    if (lit.atom != kNoTerm && !store.IsGround(store.PredName(lit.atom))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 ProgramCondensation CondenseProgram(const TermStore& store,
@@ -78,68 +89,99 @@ ProgramCondensation CondenseProgram(const TermStore& store,
   cond.rules_of.resize(cond.num_components);
   for (size_t r = 0; r < program.rules.size(); ++r) {
     const Rule& rule = program.rules[r];
+    if (HasVariableName(store, rule)) cond.exact = false;
     TermId head_name = store.PredName(rule.head);
-    if (!store.IsGround(head_name)) cond.exact = false;
-    for (const Literal& lit : rule.body) {
-      if (lit.atom == kNoTerm) continue;
-      if (!store.IsGround(store.PredName(lit.atom))) cond.exact = false;
-    }
     cond.rules_of[cond.component_of[cond.graph.Find(head_name)]].push_back(r);
   }
   return cond;
 }
 
-GuardedProgram InstantiateGuardedNames(TermStore& store,
-                                       const Program& program,
-                                       KernelCache* kernel_cache) {
-  GuardedProgram out;
-  // Rules with a variable in some predicate name, and the non-ground head
-  // names among them (a guard's name must match none of those).
-  std::vector<size_t> variable_named;
-  std::vector<TermId> variable_heads;
-  for (size_t r = 0; r < program.rules.size(); ++r) {
-    const Rule& rule = program.rules[r];
-    TermId head_name = store.PredName(rule.head);
-    bool ground = store.IsGround(head_name);
-    if (!ground) variable_heads.push_back(head_name);
+std::shared_ptr<const FactRelations> BuildFactRelations(
+    TermStore& store, const Program& program) {
+  auto record = std::make_shared<FactRelations>();
+  auto& relations = record->relations;
+  std::unordered_set<TermId> ruled, variable_heads;
+  for (const Rule& rule : program.rules) {
+    TermId name = store.PredName(rule.head);
+    if (rule.IsFact() && store.IsGround(rule.head)) {
+      ++relations[name].rows;
+    } else {
+      (store.IsGround(name) ? ruled : variable_heads).insert(name);
+    }
+    if (!HasVariableName(store, rule)) continue;
     for (const Literal& lit : rule.body) {
-      if (lit.atom != kNoTerm && !store.IsGround(store.PredName(lit.atom))) {
-        ground = false;
+      if (lit.positive() && store.IsGround(store.PredName(lit.atom))) {
+        relations[store.PredName(lit.atom)].guard = true;
       }
     }
-    if (!ground) variable_named.push_back(r);
+  }
+  std::erase_if(relations, [&](const auto& entry) {
+    if (ruled.count(entry.first) > 0) return true;
+    for (TermId head_name : variable_heads) {
+      Substitution unused;
+      if (MatchInto(store, head_name, entry.first, &unused)) return true;
+    }
+    return false;
+  });
+  return record;
+}
+
+std::shared_ptr<const FactRelations> KeepFactRelations(
+    const TermStore& store, const FactRelations& record,
+    const std::vector<TermId>& removed, const Program& program,
+    size_t added_from) {
+  auto kept = std::make_shared<FactRelations>(record);
+  // Moves a fact's relation `step` rows; false when it may not change.
+  auto count = [&](TermId atom, size_t step) {
+    auto it = kept->relations.find(store.PredName(atom));
+    if (it == kept->relations.end() || it->second.guard) return false;
+    it->second.rows += step;  // Wraps for a removal.
+    return true;
+  };
+  for (TermId atom : removed) {
+    if (!count(atom, SIZE_MAX)) return nullptr;
+  }
+  for (size_t r = added_from; r < program.rules.size(); ++r) {
+    const Rule& rule = program.rules[r];
+    if (!rule.IsFact() || !store.IsGround(rule.head) || !count(rule.head, 1)) {
+      return nullptr;
+    }
+  }
+  for (TermId atom : removed) {
+    if (kept->relations.at(store.PredName(atom)).rows == 0) return nullptr;
+  }
+  return kept;
+}
+
+FactBase FactRows(const TermStore& store, const Program& program,
+                  const FactRelations& record) {
+  FactBase rows;
+  for (const Rule& rule : program.rules) {
+    if (record.relations.count(store.PredName(rule.head)) > 0) {
+      rows.Insert(store, rule.head);
+    }
+  }
+  return rows;
+}
+
+GuardedProgram InstantiateGuardedNames(TermStore& store,
+                                       const Program& program,
+                                       const FactRelations& record,
+                                       KernelCache* kernel_cache) {
+  GuardedProgram out;
+  std::vector<size_t> variable_named;
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    if (HasVariableName(store, program.rules[r])) variable_named.push_back(r);
   }
   if (variable_named.empty()) return out;
 
-  // Candidate guard names: the ground names of those rules' positive
-  // literals. A candidate stays a guard while its relation is fact-only.
-  std::unordered_map<TermId, bool> is_guard;
-  for (size_t r : variable_named) {
-    for (const Literal& lit : program.rules[r].body) {
-      if (!lit.positive()) continue;
-      TermId name = store.PredName(lit.atom);
-      if (store.IsGround(name) && is_guard.emplace(name, true).second) {
-        out.guard_names.push_back(name);
-      }
-    }
-  }
-  for (auto& [name, guard] : is_guard) {
-    for (TermId head_name : variable_heads) {
-      Substitution unused;
-      if (MatchInto(store, head_name, name, &unused)) {
-        guard = false;
-        break;
-      }
-    }
-  }
+  // A relation of the record that such a rule's positive literal names is
+  // a guard; its rows are the guard facts.
   FactBase guard_facts;  // Deduplicated; other names' facts never match.
   for (const Rule& rule : program.rules) {
-    auto it = is_guard.find(store.PredName(rule.head));
-    if (it == is_guard.end()) continue;
-    if (rule.IsFact() && store.IsGround(rule.head)) {
+    auto it = record.relations.find(store.PredName(rule.head));
+    if (it != record.relations.end() && it->second.guard) {
       guard_facts.Insert(store, rule.head);
-    } else {
-      it->second = false;
     }
   }
 
@@ -156,8 +198,7 @@ GuardedProgram InstantiateGuardedNames(TermStore& store,
       if (lit.atom == kNoTerm) continue;
       CollectNameVariables(store, lit.atom, &name_vars);
       if (!lit.positive()) continue;
-      auto it = is_guard.find(store.PredName(lit.atom));
-      if (it == is_guard.end() || !it->second) continue;
+      if (record.relations.count(store.PredName(lit.atom)) == 0) continue;
       join.body.push_back(lit);
       store.CollectVariables(lit.atom, &bound);
     }
@@ -220,6 +261,7 @@ namespace {
 
 std::shared_ptr<const SchedulerPlan> BuildPlan(TermStore& store,
                                                const Program& program,
+                                               const FactRelations& record,
                                                KernelCache* kernel_cache,
                                                uint64_t fingerprint) {
   auto plan = std::make_shared<SchedulerPlan>();
@@ -232,7 +274,7 @@ std::shared_ptr<const SchedulerPlan> BuildPlan(TermStore& store,
   // plans over `planned`. Rule identities are serials, mixed with the
   // matched guard atoms for instances.
   GuardedProgram guarded =
-      InstantiateGuardedNames(store, program, kernel_cache);
+      InstantiateGuardedNames(store, program, record, kernel_cache);
   shape->instantiated = guarded.instantiated;
   shape->instance_head_names = std::move(guarded.instance_head_names);
   const Program& planned = guarded.instantiated ? guarded.program : program;
@@ -260,8 +302,6 @@ std::shared_ptr<const SchedulerPlan> BuildPlan(TermStore& store,
   // applies.
   if (cond.exact) {
     std::vector<uint32_t> depth = CondensationDepths(cond);
-    std::unordered_set<TermId> guards(guarded.guard_names.begin(),
-                                      guarded.guard_names.end());
     // One allocation for all components; each plan entry aliases it, and
     // a patch swaps in separately allocated copies.
     auto block = std::make_shared<std::vector<SchedulerPlan::Component>>(
@@ -306,7 +346,8 @@ std::shared_ptr<const SchedulerPlan> BuildPlan(TermStore& store,
         const uint32_t v = cond.members[c][0];
         comp->named_by_first_rule =
             cond.introduced_by[v] == cond.rules_of[c][0];
-        if (guards.count(comp->member_names[0]) == 0) {
+        auto it = record.relations.find(comp->member_names[0]);
+        if (it != record.relations.end() && !it->second.guard) {
           shape->fact_relations.emplace(comp->member_names[0], c);
         }
       }
@@ -334,18 +375,19 @@ std::shared_ptr<const SchedulerPlan> BuildPlan(TermStore& store,
 
 std::shared_ptr<const SchedulerPlan> BuildSchedulerPlan(
     TermStore& store, const Program& program, KernelCache* kernel_cache) {
-  return BuildPlan(store, program, kernel_cache, ProgramFingerprint(program));
+  return BuildPlan(store, program, *BuildFactRelations(store, program),
+                   kernel_cache, ProgramFingerprint(program));
 }
 
 std::shared_ptr<const SchedulerPlan> PatchSchedulerPlan(
     const TermStore& store, const SchedulerPlan& plan,
-    const std::vector<TermId>& retracted, const Program& program,
+    const std::vector<TermId>& removed, const Program& program,
     size_t added_from) {
   const SchedulerPlan::Shape& shape = *plan.shape;
-  if (!shape.exact) return nullptr;
-  // Copies of the components the delta touches, made on first touch. Only
-  // fact-only, non-guard relations qualify: their facts add no edge, so
-  // the graph, its numbering and every other component stay as they are.
+  // Copies of the components the delta touches, made on first touch. The
+  // record kept the delta, so it touches only non-guard fact relations
+  // (none in an inexact plan): their facts add no edge, so the graph, its
+  // numbering and every other component stay as they are.
   std::unordered_map<uint32_t, std::shared_ptr<SchedulerPlan::Component>>
       touched;
   auto touch = [&](TermId atom) -> SchedulerPlan::Component* {
@@ -360,37 +402,34 @@ std::shared_ptr<const SchedulerPlan> PatchSchedulerPlan(
   };
   uint64_t fingerprint = plan.program_fingerprint;
 
-  if (!retracted.empty()) {
-    for (TermId atom : retracted) {
-      if (touch(atom) == nullptr) return nullptr;
+  for (TermId atom : removed) {
+    if (touch(atom) == nullptr) return nullptr;
+  }
+  std::unordered_set<TermId> gone(removed.begin(), removed.end());
+  for (auto& [id, comp] : touched) {
+    // The first rule named the relation: without it, the name is first
+    // mentioned later and the condensation may renumber.
+    if (comp->named_by_first_rule && gone.count(comp->rules[0].head) > 0) {
+      return nullptr;
     }
-    std::unordered_set<TermId> gone(retracted.begin(), retracted.end());
-    for (auto& [id, comp] : touched) {
-      // The first rule named the relation: without it, the name is first
-      // mentioned later and the condensation may renumber.
-      if (comp->named_by_first_rule && gone.count(comp->rules[0].head) > 0) {
-        return nullptr;
+    size_t kept = 0;
+    for (size_t k = 0; k < comp->rules.size(); ++k) {
+      if (gone.count(comp->rules[k].head) > 0) {
+        fingerprint -= RuleFingerprint(comp->identities[k], comp->rules[k]);
+        continue;
       }
-      size_t kept = 0;
-      for (size_t k = 0; k < comp->rules.size(); ++k) {
-        if (gone.count(comp->rules[k].head) > 0) {
-          fingerprint -= RuleFingerprint(comp->identities[k], comp->rules[k]);
-          continue;
-        }
-        if (kept != k) {
-          comp->rules[kept] = std::move(comp->rules[k]);
-          comp->identities[kept] = comp->identities[k];
-        }
-        ++kept;
+      if (kept != k) {
+        comp->rules[kept] = std::move(comp->rules[k]);
+        comp->identities[kept] = comp->identities[k];
       }
-      comp->rules.resize(kept);
-      comp->identities.resize(kept);
+      ++kept;
     }
+    comp->rules.resize(kept);
+    comp->identities.resize(kept);
   }
   // Additions append, so they append to their relation's rules too.
   for (size_t r = added_from; r < program.rules.size(); ++r) {
     const Rule& rule = program.rules[r];
-    if (!rule.IsFact() || !store.IsGround(rule.head)) return nullptr;
     SchedulerPlan::Component* comp = touch(rule.head);
     if (comp == nullptr) return nullptr;
     comp->rules.push_back(rule);
@@ -402,8 +441,6 @@ std::shared_ptr<const SchedulerPlan> PatchSchedulerPlan(
   patched->shape = plan.shape;
   patched->components = plan.components;
   for (auto& [id, comp] : touched) {
-    // An emptied relation leaves the waves and the cache: rebuild.
-    if (comp->rules.empty()) return nullptr;
     comp->signature = ComponentSignature(*comp);
     patched->components[id] = std::move(comp);
   }
@@ -927,9 +964,14 @@ ComponentWfsResult SolveWfsByComponents(TermStore& store,
     plan_ptr = cache->plan;
     obs::Count(obs::Counter::kSchedPlansReused);
   } else {
-    plan_ptr = BuildPlan(store, program, options.kernel_cache, fingerprint);
+    auto relations = BuildFactRelations(store, program);
+    plan_ptr = BuildPlan(store, program, *relations, options.kernel_cache,
+                         fingerprint);
     obs::Count(obs::Counter::kSchedPlansBuilt);
-    if (cache != nullptr) cache->plan = plan_ptr;
+    if (cache != nullptr) {
+      cache->plan = plan_ptr;
+      cache->relations = std::move(relations);
+    }
   }
   const SchedulerPlan& plan = *plan_ptr;
   const SchedulerPlan::Shape& shape = *plan.shape;

@@ -45,18 +45,50 @@ struct ProgramCondensation {
 ProgramCondensation CondenseProgram(const TermStore& store,
                                     const Program& program);
 
+/// One program version's fact-only relations (DESIGN.md decision 12): the
+/// ground names N such that every rule with head name N is a ground fact
+/// and no variable-named head matches N. Settled before anything runs, they
+/// are the plan's guards and patchable relations and magic's EDB.
+/// Immutable: SchedulerCache holds it beside the plan and Fork shares it.
+struct FactRelations {
+  struct Relation {
+    size_t rows = 0;  // Fact rules with this head name (duplicates count).
+    /// A positive literal of a rule with a variable in some predicate name
+    /// names it: a guard, recorded even with no rules.
+    bool guard = false;
+    bool operator==(const Relation&) const = default;
+  };
+  std::unordered_map<TermId, Relation> relations;
+  bool operator==(const FactRelations&) const = default;
+};
+
+std::shared_ptr<const FactRelations> BuildFactRelations(
+    TermStore& store, const Program& program);
+
+/// The one keep decision for a fact delta: the program `record` describes
+/// lost the fact rules with heads `removed` (one per rule) and became
+/// `program`, whose rules from `added_from` on are new. Returns the record
+/// of `program` when every removed and added rule is a ground fact of an
+/// existing non-guard relation and no relation empties, else nullptr.
+std::shared_ptr<const FactRelations> KeepFactRelations(
+    const TermStore& store, const FactRelations& record,
+    const std::vector<TermId>& removed, const Program& program,
+    size_t added_from);
+
+/// The rows of `record`'s relations, in program-scan order: the EDB that
+/// magic evaluation probes in place (MagicRewriteOptions::edb).
+FactBase FactRows(const TermStore& store, const Program& program,
+                  const FactRelations& record);
+
 /// The rules the scheduler plans over when predicate-name variables can be
-/// instantiated from *fact-only guards* — the part of the HiLog reduction
-/// (Definition 6.5) that needs no evaluation, since a fact-only relation is
-/// settled before anything runs.
+/// instantiated from the guards of `record` — the part of the HiLog
+/// reduction (Definition 6.5) that needs no evaluation.
 ///
-/// A guard is a positive body literal with a ground predicate name N such
-/// that every rule with head name N is a ground fact and no rule head with
-/// a non-ground name matches N. A rule with a variable in some predicate
-/// name (head or body) is replaced by one instance per match of its guards
-/// against the deduplicated guard facts, provided its guards bind every
-/// name variable. Guard literals stay in each instance, so the relevance
-/// grounding of the instances equals that of the rule. Example 6.3's
+/// A rule with a variable in some predicate name (head or body) is
+/// replaced by one instance per match of its guards against the
+/// deduplicated guard facts, provided its guards bind every name variable.
+/// Guard literals stay in each instance, so the relevance grounding of the
+/// instances equals that of the rule. Example 6.3's
 /// `winning(M)(X) :- game(M), M(X,Y), ~winning(M)(Y)` becomes one
 /// ground-named rule per game, and the condensation turns exact.
 struct GuardedProgram {
@@ -70,10 +102,6 @@ struct GuardedProgram {
   /// Parallel to `program.rules`: the cache identity of each rule — its
   /// source serial, mixed with the matched guard atoms for an instance.
   std::vector<uint64_t> identity;
-  /// Every candidate guard name (the ground names of positive literals in
-  /// variable-named rules), whether or not its relation qualified. A fact
-  /// delta on one of these can change the instances.
-  std::vector<TermId> guard_names;
   /// When instantiated: the distinct predicate names given to instances of
   /// rules whose head name has a variable (winning(move1) for Example
   /// 6.3), in first-instance order.
@@ -82,6 +110,7 @@ struct GuardedProgram {
 
 GuardedProgram InstantiateGuardedNames(TermStore& store,
                                        const Program& program,
+                                       const FactRelations& record,
                                        KernelCache* kernel_cache = nullptr);
 
 /// Topological depth of every component of a condensation: a component
@@ -241,8 +270,8 @@ struct SchedulerPlan {
     std::vector<TermId> instance_head_names;
     /// Component ids with rules, grouped by depth (one wave per depth).
     std::vector<std::vector<uint32_t>> waves;
-    /// Fact-only relations whose facts a delta may add or retract without
-    /// a rebuild (no guard name among them): name -> component id.
+    /// The record's non-guard relations, whose facts a delta may add or
+    /// retract without a rebuild: name -> component id.
     std::unordered_map<TermId, uint32_t> fact_relations;
     /// Components with a cache key; after a complete solve the settled-
     /// component cache holds exactly these.
@@ -258,24 +287,21 @@ struct SchedulerPlan {
   uint64_t program_fingerprint = 0;
 };
 
-/// Plans `program` from scratch: guard instantiation, condensation,
-/// component rules and signatures, depths and waves.
+/// Plans `program` from scratch: its fact-only relation record, guard
+/// instantiation, condensation, component rules and signatures, depths and
+/// waves.
 std::shared_ptr<const SchedulerPlan> BuildSchedulerPlan(
     TermStore& store, const Program& program,
     KernelCache* kernel_cache = nullptr);
 
-/// The plan of `program`, derived from `plan` (the plan of `program`
-/// before a delta) when the delta only retracted ground facts (every fact
-/// rule whose head is in `retracted`) and appended the rules of `program`
-/// from index `added_from` on. Returns nullptr — rebuild — unless every
-/// touched relation is an existing fact-only, non-guard relation
-/// (SchedulerPlan::Shape::fact_relations), every added rule is a ground
-/// fact of one, no relation empties, and no retraction removes the rule
-/// that first mentions a name. A patched plan equals BuildSchedulerPlan of
-/// `program`.
+/// The plan of `program`, derived from `plan` (the plan before a fact
+/// delta that KeepFactRelations kept, with the same `removed` and
+/// `added_from`). On top of that the plan checks its own shape: nullptr —
+/// rebuild — when the condensation is not exact or a retraction removes
+/// the rule that first mentions a name. It equals BuildSchedulerPlan's.
 std::shared_ptr<const SchedulerPlan> PatchSchedulerPlan(
     const TermStore& store, const SchedulerPlan& plan,
-    const std::vector<TermId>& retracted, const Program& program,
+    const std::vector<TermId>& removed, const Program& program,
     size_t added_from);
 
 /// Engine-owned cache of settled components, keyed by the smallest member
@@ -288,15 +314,17 @@ std::shared_ptr<const SchedulerPlan> PatchSchedulerPlan(
 /// Entries are immutable once published: a re-solve installs a fresh entry
 /// instead of editing the old one. That is what lets Engine::Fork copy the
 /// map of pointers and share the entries with the engine it forked from.
-/// The plan is shared the same way; a solve uses it only for the program
-/// it was built or patched for and otherwise replaces it.
+/// The plan and the record are shared the same way; a solve uses the plan
+/// only for the program it was built or patched for, else replaces both.
 struct SchedulerCache {
   std::unordered_map<TermId, std::shared_ptr<const ComponentCacheEntry>>
       components;
   std::shared_ptr<const SchedulerPlan> plan;
+  std::shared_ptr<const FactRelations> relations;
   void Clear() {
     components.clear();
     plan.reset();
+    relations.reset();
   }
   size_t size() const { return components.size(); }
 };

@@ -37,7 +37,8 @@ std::string ParseFactDelta(TermStore& store, std::string_view additions,
 
 std::string ApplyRetractions(const TermStore& store, Program* program,
                              const std::vector<TermId>& retractions,
-                             std::vector<size_t>* removed_indices) {
+                             std::vector<size_t>* removed_indices,
+                             std::vector<TermId>* removed_heads) {
   if (retractions.empty()) return "";
   std::unordered_set<TermId> targets(retractions.begin(), retractions.end());
   std::vector<size_t> hits;
@@ -57,6 +58,7 @@ std::string ApplyRetractions(const TermStore& store, Program* program,
     return "cannot retract " + RuleToString(store, fact) +
            " — not a fact of the program";
   }
+  for (size_t r : hits) removed_heads->push_back(program->rules[r].head);
   program->RemoveAt(hits);
   if (removed_indices != nullptr) {
     removed_indices->insert(removed_indices->end(), hits.begin(), hits.end());

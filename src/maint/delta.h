@@ -32,11 +32,12 @@ std::string ParseFactDelta(TermStore& store, std::string_view additions,
 /// `retractions`, preserving the order and serials of the survivors.
 /// All retractions are validated before any mutation: if some atom
 /// matches no fact rule, returns an error and leaves the program
-/// untouched. On success returns "" and appends the removed rule indices
-/// (ascending) to `*removed_indices` when non-null.
+/// untouched. On success returns "" and appends the removed rules' heads
+/// and, when non-null, their indices (ascending) to the two vectors.
 std::string ApplyRetractions(const TermStore& store, Program* program,
                              const std::vector<TermId>& retractions,
-                             std::vector<size_t>* removed_indices);
+                             std::vector<size_t>* removed_indices,
+                             std::vector<TermId>* removed_heads);
 
 /// The offset just past the terminating '.' of the statement that starts
 /// at `pos` (see SplitStatements), or std::string_view::npos when no

@@ -51,7 +51,6 @@ const char* CounterName(Counter c) {
     case Counter::kMagicFactsDerived: return "magic.facts_derived";
     case Counter::kMagicFacts: return "magic.magic_facts";
     case Counter::kMagicBoxFirings: return "magic.box_firings";
-    case Counter::kMagicEdbPreloaded: return "magic.edb_preloaded";
     case Counter::kTabledSubgoals: return "tabled.subgoals";
     case Counter::kTabledHits: return "tabled.hits";
     case Counter::kTabledRestarts: return "tabled.restarts";

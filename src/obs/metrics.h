@@ -72,7 +72,6 @@ enum class Counter : uint16_t {
   kMagicFactsDerived,  // All facts derived by the magic evaluator.
   kMagicFacts,         // Of those, magic() seeds/propagations.
   kMagicBoxFirings,    // box(P) native-rule firings.
-  kMagicEdbPreloaded,  // EDB facts preloaded outside the worklist.
   // Tabled (OLDT) evaluation.
   kTabledSubgoals,  // New tables created (table misses).
   kTabledHits,      // Subgoal lookups served by an existing table.

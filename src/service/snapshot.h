@@ -162,7 +162,8 @@ class SnapshotStore {
 /// A worker-thread-confined engine, rebuilt lazily from published
 /// snapshots: `Materialize` is a no-op while the epoch is unchanged, so
 /// across the many queries of one epoch the session keeps its warmed
-/// term store and EDB caches ("keep a saturated model warm").
+/// term store, fact-only relation record and magic's EDB rows ("keep a
+/// saturated model warm").
 ///
 /// When a new epoch's source is a pure extension of the session's current
 /// text (the service's append-only load_more), the session keeps its warm

@@ -1,7 +1,5 @@
 #include "src/transform/magic.h"
 
-#include <unordered_map>
-
 namespace hilog {
 namespace {
 
@@ -52,26 +50,11 @@ std::string MagicProgram::BoxRuleDescription(const TermStore& store) const {
          "(P) <- magic(P,'-'), forall Q (dn(P,Q) -> dns(Q)), ~P";
 }
 
-std::unordered_set<TermId> FactOnlyPredicates(const TermStore& store,
-                                              const Program& program) {
-  std::unordered_map<TermId, bool> has_rule_body;
-  for (const Rule& rule : program.rules) {
-    TermId name = store.PredName(rule.head);
-    if (!store.IsGround(name)) continue;
-    auto [it, inserted] = has_rule_body.emplace(name, !rule.body.empty());
-    if (!inserted) it->second = it->second || !rule.body.empty();
-  }
-  std::unordered_set<TermId> edb;
-  for (const auto& [name, ruled] : has_rule_body) {
-    if (!ruled) edb.insert(name);
-  }
-  return edb;
-}
-
 MagicProgram MagicRewrite(TermStore& store, const Program& program,
                           TermId query, const MagicRewriteOptions& options) {
   MagicProgram out;
   out.query = query;
+  out.edb = options.edb;
   out.magic_sym = store.MakeSymbol("magic");
   out.plus_sym = store.MakeSymbol("+");
   out.minus_sym = store.MakeSymbol("-");
@@ -83,9 +66,10 @@ MagicProgram MagicRewrite(TermStore& store, const Program& program,
   auto magic_atom = [&](TermId atom, TermId sign) {
     return store.MakeApply(out.magic_sym, {atom, sign});
   };
-  auto is_edb_subgoal = [&](TermId atom) {
-    TermId name = store.PredName(atom);
-    return store.IsGround(name) && options.edb_names.count(name) > 0;
+  // Rows are ground, so a variable name never has any.
+  auto is_edb = [&](TermId atom) {
+    return options.edb != nullptr &&
+           !options.edb->WithName(store.PredName(atom)).empty();
   };
 
   // Seed: magic(Q, '+'). We additionally seed magic(Q, '-') so that a
@@ -103,15 +87,7 @@ MagicProgram MagicRewrite(TermStore& store, const Program& program,
 
   for (size_t ri = 0; ri < program.rules.size(); ++ri) {
     const Rule& rule = program.rules[ri];
-    TermId head_name = store.PredName(rule.head);
-    bool head_edb =
-        store.IsGround(head_name) && options.edb_names.count(head_name) > 0;
-    if (head_edb) {
-      // EDB relations are copied verbatim (they are facts) — unless the
-      // caller preloads them into the evaluator instead.
-      if (options.include_edb_facts) out.rules.Add(rule);
-      continue;
-    }
+    if (is_edb(rule.head)) continue;  // The evaluator reads it in place.
 
     std::vector<std::vector<TermId>> sup_vars = SupplementaryVars(store, rule);
     std::vector<TermId> sup_atoms(rule.body.size() + 1);
@@ -139,7 +115,7 @@ MagicProgram MagicRewrite(TermStore& store, const Program& program,
       step.head = sup_atoms[i + 1];
       step.body.push_back(Literal::Pos(sup_atoms[i]));
       if (lit.positive()) {
-        if (!is_edb_subgoal(lit.atom)) {
+        if (!is_edb(lit.atom)) {
           // magic(A,'+') <- sup_{r,i}.
           Rule m;
           m.head = magic_atom(lit.atom, out.plus_sym);

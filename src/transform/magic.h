@@ -2,8 +2,8 @@
 #define HILOG_TRANSFORM_MAGIC_H_
 
 #include <string>
-#include <unordered_set>
 
+#include "src/eval/fact_base.h"
 #include "src/lang/ast.h"
 #include "src/term/term_store.h"
 
@@ -11,18 +11,15 @@ namespace hilog {
 
 /// Options for the magic-sets rewriting of Section 6.1.
 struct MagicRewriteOptions {
-  /// Predicate names known to be EDB (defined by facts only). Subgoals on
-  /// a *ground* EDB name are evaluated directly: no magic seed, no
-  /// dependency bookkeeping. Subgoals whose name is a variable are always
-  /// treated as IDB — the paper: "we have to assume (unless further
-  /// information is given) that all predicates are IDB predicates".
-  std::unordered_set<TermId> edb_names;
-
-  /// When false, facts of EDB predicates are *not* copied into the
-  /// rewritten program; the caller preloads them into the evaluator
-  /// instead (EvaluateMagic's `preloaded` argument). This makes per-query
-  /// cost independent of the EDB size.
-  bool include_edb_facts = true;
+  /// The EDB: rows of relations that only ground facts produce, with no
+  /// variable-named head matching them (FactRows of the engine's record).
+  /// Their rules are not copied, so no derived fact carries their names;
+  /// the evaluator probes `edb` in place, and subgoals on their ground
+  /// names get no magic seed and no dependency bookkeeping. Subgoals whose
+  /// name is a variable are always treated as IDB — the paper: "we have to
+  /// assume (unless further information is given) that all predicates are
+  /// IDB predicates".
+  const FactBase* edb = nullptr;
 };
 
 /// The rewritten program. All rewritten rules are *definite* (negation is
@@ -37,6 +34,8 @@ struct MagicProgram {
   Program rules;
   /// The (possibly non-ground) query atom; answers are its true instances.
   TermId query = kNoTerm;
+  /// MagicRewriteOptions::edb, which the rules leave out.
+  const FactBase* edb = nullptr;
 
   // Special vocabulary.
   TermId magic_sym = kNoTerm;   // magic(Atom, Sign)
@@ -69,11 +68,6 @@ struct MagicProgram {
 /// the rewrite itself is defined regardless.
 MagicProgram MagicRewrite(TermStore& store, const Program& program,
                           TermId query, const MagicRewriteOptions& options);
-
-/// Collects the predicate names of `program` that are defined only by
-/// facts (a sound default for MagicRewriteOptions::edb_names).
-std::unordered_set<TermId> FactOnlyPredicates(const TermStore& store,
-                                              const Program& program);
 
 }  // namespace hilog
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 namespace hilog {
 namespace {
@@ -177,6 +179,36 @@ TEST(EngineTest, QueryViaMagicSets) {
 
   Engine::QueryAnswer bad = engine.Query("w(m)(");
   EXPECT_FALSE(bad.ok);
+}
+
+// Magic treats as EDB only the relations the fact-only rule admits: every
+// rule with the name is a ground fact, and no variable-named head can
+// produce it. Here X(a) :- q(X) derives game(a), which r reads.
+TEST(EngineTest, QueryDerivesThroughAVariableNamedHead) {
+  Engine engine;
+  ASSERT_EQ(engine.Load("game(m1). q(game). X(a) :- q(X). r(Y) :- game(Y)."),
+            "");
+  Engine::QueryAnswer ground = engine.Query("r(a)");
+  ASSERT_TRUE(ground.ok) << ground.error;
+  EXPECT_EQ(ground.ground_status, QueryStatus::kTrue);
+  Engine::QueryAnswer open = engine.Query("r(Y)");
+  ASSERT_TRUE(open.ok) << open.error;
+  std::vector<std::string> answers;
+  for (TermId atom : open.answers) {
+    answers.push_back(engine.store().ToString(atom));
+  }
+  std::sort(answers.begin(), answers.end());
+  EXPECT_EQ(answers, (std::vector<std::string>{"r(a)", "r(m1)"}));
+}
+
+// A relation with a non-ground fact is not EDB: p(X) must reach the query
+// as a rule, not be dropped with the ground rows.
+TEST(EngineTest, QueryReadsANonGroundFact) {
+  Engine engine;
+  ASSERT_EQ(engine.Load("p(X). r(a). q(Y) :- r(Y), p(Y)."), "");
+  Engine::QueryAnswer answer = engine.Query("q(a)");
+  ASSERT_TRUE(answer.ok) << answer.error;
+  EXPECT_EQ(answer.ground_status, QueryStatus::kTrue);
 }
 
 TEST(EngineTest, SolveAggregates) {

@@ -48,11 +48,23 @@ std::string ModelText(Engine& engine, const Engine::WfsAnswer& answer) {
   return out;
 }
 
+// A fact-only relation record the engine kept across a delta must be the
+// record a cold start would build for the same program.
+void ExpectRecordMatchesFresh(Engine& engine, const std::string& context) {
+  std::shared_ptr<const FactRelations> kept =
+      engine.scheduler_cache().relations;
+  if (kept == nullptr) return;  // Dropped: the next query or solve builds.
+  EXPECT_TRUE(*kept == *BuildFactRelations(engine.store(), engine.program()))
+      << context;
+}
+
 // The plan the engine's last solve used must be the plan a cold start
 // would build for the same program: same components in the same order,
 // with the same member names, rules, rule identities, signatures and
-// depths.
+// depths. The record beside it must be there and match a fresh build too.
 void ExpectPlanMatchesFresh(Engine& engine, const std::string& context) {
+  ASSERT_NE(engine.scheduler_cache().relations, nullptr) << context;
+  ExpectRecordMatchesFresh(engine, context);
   std::shared_ptr<const SchedulerPlan> kept = engine.scheduler_cache().plan;
   ASSERT_NE(kept, nullptr) << context;
   std::shared_ptr<const SchedulerPlan> fresh =
@@ -152,6 +164,9 @@ void CheckMaintainedMatchesFresh(const std::string& base,
     std::vector<size_t> removed;
     ASSERT_EQ(maintained.ApplyDelta(add, retract, &removed), "");
     composed = ComposeDeltaText(composed, removed, add);
+    ExpectRecordMatchesFresh(maintained, "kept at step " +
+                                             std::to_string(step) +
+                                             "\nprogram:\n" + composed);
     Engine::WfsAnswer got = maintained.SolveWellFounded();
     ASSERT_TRUE(got.ok);
     ExpectPlanMatchesFresh(maintained, "step " + std::to_string(step) +
@@ -238,6 +253,69 @@ TEST_P(IncrementalEquivalenceTest, UniversalEncodingPrograms) {
       "call(u3(m,n1,n1)).", "call(u3(m,n3,n0))."};
   std::vector<Delta> deltas = RandomDeltas(base, seed * 31 + 17, 3, pool);
   CheckMaintainedMatchesFresh(base, deltas, "call(u2(w,X))");
+}
+
+// The serving workers' path: Load, then queries and deltas with no solve
+// in between. The record and magic's EDB rows are kept across the fact
+// deltas the record admits and dropped otherwise; either way every query
+// must answer as a fresh engine does, answers in the same order. The pool's
+// variable-named head X(n0,n1) adds a row to every game's move relation,
+// which p reads through a ground name, so the answers of these definite
+// relations are also checked against the well-founded model.
+TEST_P(IncrementalEquivalenceTest, QueriesWithoutSolvesMatchFresh) {
+  const unsigned seed = GetParam();
+  const std::string base = testing::RandomGameProgram(seed, /*cyclic=*/false) +
+                           "p(X) :- mv0(X,n1).\n";
+  std::vector<std::string> pool = {"mv0(n2,n0).", "mv0(n0,n3).",
+                                   "mv0(n4,n2).", "game(mv7).",
+                                   "mv7(n0,n1).", "X(n0,n1) :- game(X)."};
+  std::vector<Delta> deltas = RandomDeltas(base, seed * 31 + 19, 4, pool);
+  Engine maintained;
+  ASSERT_EQ(maintained.Load(base), "");
+  std::string composed = base;
+  auto answers = [](Engine& engine, const std::string& query) {
+    Engine::QueryAnswer answer = engine.Query(query);
+    EXPECT_TRUE(answer.ok) << answer.error;
+    std::string out = std::to_string(static_cast<int>(answer.ground_status));
+    for (TermId a : answer.answers) out += " " + engine.store().ToString(a);
+    return out + " derived " + std::to_string(answer.facts_derived);
+  };
+  for (size_t step = 0; step <= deltas.size(); ++step) {
+    if (step > 0) {
+      const auto& [add, retract] = deltas[step - 1];
+      std::vector<size_t> removed;
+      ASSERT_EQ(maintained.ApplyDelta(add, retract, &removed), "");
+      composed = ComposeDeltaText(composed, removed, add);
+      ExpectRecordMatchesFresh(maintained, composed);
+    }
+    Engine fresh;
+    ASSERT_EQ(fresh.Load(composed), "");
+    for (const std::string query :
+         {"winning(mv0)(X)", "winning(mv0)(n0)", "mv0(X,Y)", "p(X)",
+          "game(G)"}) {
+      EXPECT_EQ(answers(maintained, query), answers(fresh, query))
+          << query << " at step " << step << "\nprogram:\n" << composed;
+    }
+    Engine oracle;
+    ASSERT_EQ(oracle.Load(composed), "");
+    Engine::WfsAnswer wfs = oracle.SolveWellFounded();
+    ASSERT_TRUE(wfs.ok);
+    for (const auto& [name, query] : {std::pair{"mv0", "mv0(X,Y)"},
+                                      std::pair{"p", "p(X)"}}) {
+      std::set<std::string> want, got;
+      for (TermId atom : wfs.model.TrueAtoms()) {
+        if (oracle.store().ToString(oracle.store().PredName(atom)) == name) {
+          want.insert(oracle.store().ToString(atom));
+        }
+      }
+      for (TermId atom : maintained.Query(query).answers) {
+        got.insert(maintained.store().ToString(atom));
+      }
+      EXPECT_EQ(got, want) << query << " at step " << step << "\nprogram:\n"
+                           << composed;
+    }
+    EXPECT_EQ(maintained.scheduler_cache().plan, nullptr);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceTest,

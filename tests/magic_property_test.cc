@@ -86,6 +86,30 @@ TEST_P(MagicPropertyTest, QueryTouchesOnlyReachableFragment) {
   }
 }
 
+// Variable-named heads that land on fact-bearing relations: magic must
+// not read such a relation as EDB, since its facts are not all its rows.
+// The programs are definite, so every ground atom over the vocabulary is
+// true or settled false, as in the well-founded model.
+TEST_P(MagicPropertyTest, VariableNamedHeadsAgreeWithWfs) {
+  Engine engine;
+  std::string text = testing::RandomVariableHeadProgram(GetParam());
+  ASSERT_EQ(engine.Load(text), "");
+  Engine::WfsAnswer wfs = engine.SolveWellFounded();
+  ASSERT_TRUE(wfs.ok && wfs.exact) << text;
+  for (const std::string& name : testing::VariableHeadProgramNames()) {
+    for (const char* constant : {"a", "b", "c"}) {
+      const std::string atom_text = name + "(" + constant + ")";
+      Engine::QueryAnswer answer = engine.Query(atom_text);
+      ASSERT_TRUE(answer.ok) << answer.error;
+      TermId atom = *ParseTerm(engine.store(), atom_text);
+      EXPECT_EQ(answer.ground_status,
+                wfs.model.IsTrue(atom) ? QueryStatus::kTrue
+                                       : QueryStatus::kSettledFalse)
+          << text << atom_text;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MagicPropertyTest,
                          ::testing::Range(1u, 31u));
 

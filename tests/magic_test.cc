@@ -9,6 +9,7 @@
 
 #include "src/core/engine.h"
 #include "src/eval/magic_eval.h"
+#include "src/eval/scheduler.h"
 #include "src/lang/parser.h"
 #include "src/lang/printer.h"
 
@@ -24,11 +25,18 @@ class MagicTest : public ::testing::Test {
   }
   TermId T(std::string_view text) { return *ParseTerm(store_, text); }
 
+  // The EDB base Engine::Query hands the rewrite: the rows of the
+  // program's fact-only relation record.
+  FactBase Edb(const Program& p) {
+    return FactRows(store_, p, *BuildFactRelations(store_, p));
+  }
+
   MagicEvalResult Eval(std::string_view program_text,
                        std::string_view query_text) {
     Program p = P(program_text);
+    FactBase edb = Edb(p);
     MagicRewriteOptions options;
-    options.edb_names = FactOnlyPredicates(store_, p);
+    options.edb = &edb;
     MagicProgram magic = MagicRewrite(store_, p, T(query_text), options);
     return EvaluateMagic(store_, magic, MagicEvalOptions());
   }
@@ -38,14 +46,17 @@ class MagicTest : public ::testing::Test {
 
 // Example 6.6: the abbreviated game program
 //   w(M)(X) :- g(M), M(X,Y), ~w(M)(Y).     query ?- w(m)(a)
-// with g, m declared EDB. The rewriting must produce the paper's rule
-// set: the seed, sup_{1,0..3}, the answer rule, two magic rules, the
-// dp/dn bookkeeping, and the dns rules (plus the native box rule).
+// with g, m declared EDB (a row each). The rewriting must produce the
+// paper's rule set: the seed, sup_{1,0..3}, the answer rule, two magic
+// rules, the dp/dn bookkeeping, and the dns rules (plus the native box
+// rule).
 TEST_F(MagicTest, Example66RewrittenRuleShapes) {
   Program p = P("w(M)(X) :- g(M), M(X,Y), ~w(M)(Y).");
+  FactBase edb;
+  edb.Insert(store_, T("g(m)"));
+  edb.Insert(store_, T("m(a,b)"));
   MagicRewriteOptions options;
-  options.edb_names.insert(T("g"));
-  options.edb_names.insert(T("m"));
+  options.edb = &edb;
   MagicProgram magic = MagicRewrite(store_, p, T("w(m)(a)"), options);
 
   std::vector<std::string> rendered;
@@ -134,8 +145,9 @@ TEST_F(MagicTest, MagicIsQueryDirected) {
       "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y)."
       "e(1,2). e(2,3). e(10,11). e(11,12).";
   Program p = P(tc);
+  FactBase edb = Edb(p);
   MagicRewriteOptions options;
-  options.edb_names = FactOnlyPredicates(store_, p);
+  options.edb = &edb;
   MagicProgram magic = MagicRewrite(store_, p, T("t(1,X)"), options);
   MagicEvalResult result = EvaluateMagic(store_, magic, MagicEvalOptions());
   EXPECT_EQ(result.answers.size(), 2u);
@@ -185,9 +197,9 @@ TEST_F(MagicTest, FlounderingOpenQueryYieldsNoAnswers) {
 }
 
 TEST_F(MagicTest, QueriesOnEdbRelationsAnswerDirectly) {
-  // With the engine's shared-EDB path, EDB facts are preloaded rather
-  // than copied into the rewritten program; querying the EDB relation
-  // itself must still enumerate its tuples.
+  // The engine's EDB rows are probed in place rather than copied into
+  // the rewritten program; querying the EDB relation itself must still
+  // enumerate its tuples.
   Engine engine;
   ASSERT_EQ(engine.Load("e(1,2). e(1,3). e(2,3). t(X,Y) :- e(X,Y)."), "");
   Engine::QueryAnswer direct = engine.Query("e(1,X)");
@@ -197,24 +209,39 @@ TEST_F(MagicTest, QueriesOnEdbRelationsAnswerDirectly) {
   EXPECT_EQ(ground.ground_status, QueryStatus::kTrue);
   Engine::QueryAnswer miss = engine.Query("e(3,2)");
   EXPECT_EQ(miss.ground_status, QueryStatus::kSettledFalse);
-  // Repeated queries reuse the cache and keep answering.
+  // Repeated queries reuse the rows and keep answering.
   for (int i = 0; i < 3; ++i) {
     Engine::QueryAnswer again = engine.Query("t(1,X)");
     EXPECT_EQ(again.answers.size(), 2u);
   }
-  // Adding rules invalidates the cache.
+  // Appended facts reach the rows.
   ASSERT_EQ(engine.LoadMore("e(3,4)."), "");
   Engine::QueryAnswer fresh = engine.Query("t(3,X)");
   EXPECT_EQ(fresh.answers.size(), 1u);
 }
 
-TEST_F(MagicTest, FactOnlyPredicatesDetection) {
-  Program p = P("e(1,2). e(2,3). g(m). t(X,Y) :- e(X,Y). w :- t(1,2).");
-  auto edb = FactOnlyPredicates(store_, p);
-  EXPECT_TRUE(edb.count(T("e")) > 0);
-  EXPECT_TRUE(edb.count(T("g")) > 0);
-  EXPECT_FALSE(edb.count(T("t")) > 0);
-  EXPECT_FALSE(edb.count(T("w")) > 0);
+TEST_F(MagicTest, FactRelationsDetection) {
+  Program p = P(
+      "e(1,2). e(2,3). g(m). t(X,Y) :- e(X,Y). w :- t(1,2)."
+      "h(a). h(X). s(f(b)). f(Y)(c) :- s(f(Y)).");
+  auto record = BuildFactRelations(store_, p);
+  auto rows = [&](std::string_view name) -> int {
+    auto it = record->relations.find(T(name));
+    return it == record->relations.end() ? -1 : it->second.rows;
+  };
+  EXPECT_EQ(rows("e"), 2);
+  EXPECT_EQ(rows("g"), 1);
+  EXPECT_EQ(rows("t"), -1);
+  EXPECT_EQ(rows("w"), -1);
+  EXPECT_EQ(rows("h"), -1);  // h(X) is not a ground fact.
+  // The variable-named head f(Y)(c) matches no plain name, and s guards it.
+  EXPECT_EQ(rows("s"), 1);
+  EXPECT_TRUE(record->relations.at(T("s")).guard);
+  EXPECT_FALSE(record->relations.at(T("e")).guard);
+  // The EDB the magic rewrite reads holds exactly those relations' rows.
+  FactBase edb = FactRows(store_, p, *record);
+  EXPECT_EQ(edb.size(), 4u);
+  EXPECT_TRUE(edb.WithName(T("h")).empty());
 }
 
 TEST_F(MagicTest, StratifiedNegationThroughTwoLevels) {

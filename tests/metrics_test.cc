@@ -609,7 +609,6 @@ TEST(EngineMetricsTest, WinChainExactMagicQueryCounters) {
   // magic facts for w(n1..n8) plus the seed's adornment.
   EXPECT_EQ(m.value(obs::Counter::kMagicFacts), 9u);
   EXPECT_EQ(m.value(obs::Counter::kMagicFactsDerived), 50u);
-  EXPECT_EQ(m.value(obs::Counter::kMagicEdbPreloaded), 8u);
   EXPECT_EQ(m.value(obs::Counter::kMagicBoxFirings), 4u);
   // The query must not re-run the full WFS computation.
   EXPECT_EQ(m.value(obs::Counter::kWfsRounds), 0u);

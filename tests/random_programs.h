@@ -63,6 +63,58 @@ inline std::string RandomGameProgram(unsigned seed, bool cyclic = false,
   return text;
 }
 
+// The relation names RandomVariableHeadProgram uses, in the order its
+// callers enumerate ground atoms: fact-bearing names, the selector, then
+// the readers.
+inline const std::vector<std::string>& VariableHeadProgramNames() {
+  static const std::vector<std::string> names = {
+      "p", "q", "h(p)", "h(q)", "sel", "t0", "t1", "t2"};
+  return names;
+}
+
+// A random *definite* HiLog program whose variable-named heads land on
+// fact-bearing names that other rules read. `sel` lists plain relation
+// names; `X(c) :- sel(X).` then adds a row to each listed relation (and
+// could add one to any relation at all), and `h(X)(c) :- sel(X).` adds
+// one to the compound-named relation h(X) only. Every such relation also
+// has facts of its own, and the readers t0..t2 join them, so an evaluator
+// that takes a relation for fact-only because its own rules are facts
+// misses the rows the variable-named heads derive.
+inline std::string RandomVariableHeadProgram(unsigned seed) {
+  std::mt19937 rng(seed);
+  const std::vector<std::string>& names = VariableHeadProgramNames();
+  const char* consts[] = {"a", "b", "c"};
+  const char* plain[] = {"p", "q"};
+  std::string text;
+  for (int n = 0; n < 4; ++n) {  // p, q, h(p), h(q).
+    const int facts = 1 + static_cast<int>(rng() % 2);
+    for (int i = 0; i < facts; ++i) {
+      text += names[n] + "(" + consts[rng() % 3] + ").\n";
+    }
+  }
+  const int listed = 1 + static_cast<int>(rng() % 2);
+  for (int i = 0; i < listed; ++i) {
+    text += std::string("sel(") + plain[rng() % 2] + ").\n";
+  }
+  switch (rng() % 3) {
+    case 0:
+      text += std::string("X(") + consts[rng() % 3] + ") :- sel(X).\n";
+      break;
+    case 1:
+      text += std::string("h(X)(") + consts[rng() % 3] + ") :- sel(X).\n";
+      break;
+    default:
+      text += std::string("X(") + consts[rng() % 3] + ") :- sel(X).\n";
+      text += std::string("h(X)(") + consts[rng() % 3] + ") :- sel(X).\n";
+  }
+  for (int t = 0; t < 3; ++t) {
+    text += names[5 + t] + "(Y) :- " + names[rng() % 4] + "(Y)";
+    if (rng() % 2 == 0) text += ", " + names[rng() % 4] + "(Y)";
+    text += ".\n";
+  }
+  return text;
+}
+
 // A random pool of ground HiLog facts over plain and compound predicate
 // names (p, winning(move1), f(g)) with symbol and nested-application
 // arguments — the workload for index-vs-full-scan equivalence checks.

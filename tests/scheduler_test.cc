@@ -131,7 +131,8 @@ GuardedSolve ExpectScheduledMatchesMonolithic(const std::string& text) {
   GuardedSolve out;
   if (!parsed.ok()) return out;
 
-  GuardedProgram plan = InstantiateGuardedNames(store, *parsed);
+  GuardedProgram plan = InstantiateGuardedNames(
+      store, *parsed, *BuildFactRelations(store, *parsed));
   out.instantiated = plan.instantiated;
   if (plan.instantiated) {
     EXPECT_TRUE(CondenseProgram(store, plan.program).exact) << text;

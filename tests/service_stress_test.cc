@@ -150,7 +150,8 @@ TEST(ServiceStressTest, DeadlineStormNeverCorrupts) {
     // Alternate expensive head-of-chain queries under a 1-2 ms deadline
     // with undeadlined cheap tail queries.
     if (i % 2 == 0) {
-      futures.push_back(executor.Submit({"w(n0)", 1 + (i % 3), {}}));
+      futures.push_back(executor.Submit(
+          {"w(n0)", static_cast<uint64_t>(1 + (i % 3)), {}}));
     } else {
       futures.push_back(executor.Submit({tail_query, 0, {}}));
     }
