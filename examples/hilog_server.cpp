@@ -16,9 +16,6 @@
 //                         request slower than n ms end to end (default off)
 //   --sample-interval-ms <n>  queue-depth/inflight gauge sampler period
 //                         (default 100; 0 disables)
-//   --warm-wfs            pre-solve WFS in each worker on epoch change
-//                         (warms the scheduler cache; puts component
-//                         spans in the triggering request's trace)
 //
 // Protocol: one JSON object per line in, one per line out — see
 // docs/service.md. Try it with:
@@ -89,8 +86,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--sample-interval-ms") == 0) {
       server_options.sample_interval_ms =
           std::strtoull(take_value("--sample-interval-ms"), nullptr, 10);
-    } else if (std::strcmp(arg, "--warm-wfs") == 0) {
-      executor_options.warm_wfs = true;
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg);
       return 2;

@@ -18,8 +18,14 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   options_.magic.kernel_cache = &kernel_cache_;
 }
 
-std::unique_ptr<Engine> Engine::Fork() const {
-  auto fork = std::make_unique<Engine>(options_);
+std::unique_ptr<Engine> Engine::Fork() const { return Fork(options_); }
+
+std::unique_ptr<Engine> Engine::Fork(const EngineOptions& options) const {
+  auto fork = std::make_unique<Engine>(options);
+  // The copy is the fork's load: timed into the fork's own registry and
+  // trace lane, as Load, LoadMore and ApplyDelta time theirs.
+  obs::ScopedObsContext obs_ctx(fork->MetricsSink(), fork->TraceSink());
+  obs::ScopedPhaseTimer timer(obs::Phase::kLoad);
   fork->store_.CopyFrom(store_);
   fork->program_ = program_;
   fork->edb_rows_ = edb_rows_;
@@ -29,6 +35,8 @@ std::unique_ptr<Engine> Engine::Fork() const {
   // CopyFrom preserves TermIds, so the compiled programs' atom and
   // variable ids mean the same terms in the fork.
   fork->kernel_cache_.CloneFrom(kernel_cache_);
+  obs::SetGauge(obs::Gauge::kProgramRules, program_.size());
+  obs::SetGauge(obs::Gauge::kTermStoreSize, store_.size());
   return fork;
 }
 

@@ -90,16 +90,22 @@ class Engine {
   const obs::TraceBuffer* trace() const { return trace_.get(); }
   obs::TraceBuffer* trace() { return trace_.get(); }
 
-  /// Copies this engine into a fresh one: same options, a CopyFrom clone
+  /// Copies this engine into a fresh one with `options`: a CopyFrom clone
   /// of the term store (every TermId means the same term in both), the
-  /// loaded program, magic's EDB rows, and — the point — the scheduler
-  /// cache, so the fork's first well-founded solve replays unchanged
-  /// components instead of recomputing them. The cache's entries, plan and
-  /// fact-only relation record are immutable and shared, not copied.
-  /// Metrics and trace start fresh. `this` is read-only during the call;
-  /// the fork shares no mutable state with it afterwards (the snapshot
-  /// store forks a published prototype to seed the next epoch's
-  /// snapshot).
+  /// loaded program, magic's EDB rows, the kernel cache, and — the point —
+  /// the scheduler cache, so the fork's first well-founded solve replays
+  /// unchanged components instead of recomputing them. The cache's
+  /// entries, plan and fact-only relation record are immutable and
+  /// shared, not copied. Metrics and trace start fresh; the copy itself is
+  /// the fork's `load` phase. `this` is read-only during the call, so
+  /// many threads may fork one engine at once, and the fork shares no
+  /// mutable state with it afterwards. The snapshot store forks a
+  /// published prototype to build the next epoch, and every query worker
+  /// forks the current epoch's prototype (EngineSession), with its own
+  /// trace lane and budgets in `options`.
+  std::unique_ptr<Engine> Fork(const EngineOptions& options) const;
+
+  /// Fork(options()).
   std::unique_ptr<Engine> Fork() const;
 
   /// Parses and loads program text. Returns an empty string on success,

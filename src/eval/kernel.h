@@ -124,9 +124,10 @@ bool RunKernel(TermStore& store, const KernelProgram& program,
 /// — a hash of the head term and the body's (kind, atom) pairs, with
 /// exact verification — so rules keep their cache entries when a program
 /// is rebuilt around them: the scheduler's per-component sub-programs,
-/// incremental publishes that recompile only changed rules, and forked
-/// warm sessions (term ids below the fork point are preserved by
-/// TermStore::CopyFrom, so entries remain valid in clones).
+/// incremental publishes that recompile only changed rules, and forks of
+/// a published prototype, the next epoch's and every query worker's
+/// (term ids below the fork point are preserved by TermStore::CopyFrom,
+/// so entries remain valid in clones).
 ///
 /// Per rule the cache holds the variable analysis (JoinAtomInfo per
 /// positive atom) and the lowered program per (delta position, join
@@ -185,8 +186,8 @@ class KernelCache {
   void Clear();
 
   /// Deep-copies `other`'s entries (programs are shared, they are
-  /// immutable); used by Engine::Fork so warm sessions keep their
-  /// compiled rules across snapshot epochs.
+  /// immutable); used by Engine::Fork so a fork keeps the compiled rules
+  /// of the engine it forked from.
   void CloneFrom(const KernelCache& other);
 
   /// Number of cached rules (not variants).

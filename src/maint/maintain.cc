@@ -37,29 +37,4 @@ std::string ComposeDeltaText(std::string_view old_text,
   return out;
 }
 
-DeltaPublishResult ApplyDeltaPublish(Engine& engine,
-                                     std::string_view previous_text,
-                                     std::string_view additions,
-                                     std::string_view retractions,
-                                     bool solve_wfs) {
-  DeltaPublishResult result;
-  std::vector<size_t> removed;
-  std::string error = engine.ApplyDelta(additions, retractions, &removed);
-  if (!error.empty()) {
-    result.ok = false;
-    result.error = std::move(error);
-    return result;
-  }
-  result.rules_removed = removed.size();
-  result.composed_text = ComposeDeltaText(previous_text, removed, additions);
-  if (solve_wfs) {
-    result.report = SolveMaintained(engine);
-    if (!result.report.ok) {
-      result.ok = false;
-      result.error = result.report.error;
-    }
-  }
-  return result;
-}
-
 }  // namespace hilog

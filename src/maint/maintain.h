@@ -5,8 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/maint/dred.h"
-
 namespace hilog {
 
 /// Composes the post-delta program text: the statements of `old_text`
@@ -19,24 +17,6 @@ namespace hilog {
 std::string ComposeDeltaText(std::string_view old_text,
                              const std::vector<size_t>& removed_indices,
                              std::string_view additions);
-
-/// One delta publish, end to end: applies the delta to a warm (typically
-/// forked) engine, composes the equivalent from-scratch program text,
-/// and — when `solve_wfs` — runs the DRed maintenance solve through the
-/// engine's settled-component cache.
-struct DeltaPublishResult {
-  bool ok = true;
-  std::string error;
-  std::string composed_text;
-  size_t rules_removed = 0;
-  MaintenanceReport report;  // Meaningful when solve_wfs was set.
-};
-
-DeltaPublishResult ApplyDeltaPublish(Engine& engine,
-                                     std::string_view previous_text,
-                                     std::string_view additions,
-                                     std::string_view retractions,
-                                     bool solve_wfs);
 
 }  // namespace hilog
 

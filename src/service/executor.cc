@@ -119,7 +119,7 @@ QueryResponse QueryExecutor::Execute(QueryRequest request) {
 void QueryExecutor::WorkerLoop(uint32_t worker_index) {
   EngineOptions engine_options = options_.engine;
   engine_options.trace_tid = worker_index;
-  EngineSession session(std::move(engine_options), options_.warm_wfs);
+  EngineSession session(std::move(engine_options));
   while (true) {
     Task task;
     {
@@ -165,37 +165,31 @@ void QueryExecutor::RunTask(EngineSession* session, Task task) {
     response.error = CancelReasonMessage(pre);
     ctx.solve_done_ns = obs::NowNs();
   } else {
-    std::string error = session->Materialize(*snapshot, &ctx);
-    if (!error.empty()) {
-      response.status = ServiceStatus::kError;
-      response.error = "snapshot materialization failed: " + error;
-      ctx.solve_done_ns = obs::NowNs();
-    } else {
-      Engine& engine = session->engine();
-      ScopedCancelToken cancel_scope(task.token.get());
-      Engine::QueryAnswer answer = engine.Query(task.request.query);
-      ctx.solve_done_ns = obs::NowNs();
-      if (answer.ok) {
-        response.status = ServiceStatus::kOk;
-        response.answers.reserve(answer.answers.size());
-        for (TermId atom : answer.answers) {
-          response.answers.push_back(engine.store().ToString(atom));
-        }
-        response.ground_status = answer.ground_status;
-        for (TermId atom : answer.unsettled_negative_calls) {
-          response.unsettled_negative_calls.push_back(
-              engine.store().ToString(atom));
-        }
-        response.facts_derived = answer.facts_derived;
-      } else if (answer.cancelled) {
-        response.status = task.token->reason() == CancelReason::kDeadline
-                              ? ServiceStatus::kTimeout
-                              : ServiceStatus::kCancelled;
-        response.error = answer.error;
-      } else {
-        response.status = ServiceStatus::kError;
-        response.error = answer.error;
+    session->Materialize(*snapshot, &ctx);
+    Engine& engine = session->engine();
+    ScopedCancelToken cancel_scope(task.token.get());
+    Engine::QueryAnswer answer = engine.Query(task.request.query);
+    ctx.solve_done_ns = obs::NowNs();
+    if (answer.ok) {
+      response.status = ServiceStatus::kOk;
+      response.answers.reserve(answer.answers.size());
+      for (TermId atom : answer.answers) {
+        response.answers.push_back(engine.store().ToString(atom));
       }
+      response.ground_status = answer.ground_status;
+      for (TermId atom : answer.unsettled_negative_calls) {
+        response.unsettled_negative_calls.push_back(
+            engine.store().ToString(atom));
+      }
+      response.facts_derived = answer.facts_derived;
+    } else if (answer.cancelled) {
+      response.status = task.token->reason() == CancelReason::kDeadline
+                            ? ServiceStatus::kTimeout
+                            : ServiceStatus::kCancelled;
+      response.error = answer.error;
+    } else {
+      response.status = ServiceStatus::kError;
+      response.error = answer.error;
     }
   }
   ctx.serialize_done_ns = obs::NowNs();
@@ -213,7 +207,7 @@ void QueryExecutor::RunTask(EngineSession* session, Task task) {
   if (session->materialized() && session->engine().trace() != nullptr) {
     // The request's span tree, in the worker's lane: the whole request,
     // its queue wait, and the serialize tail. The engine's own phase
-    // spans (query/magic_rewrite, plus sched.component via warm_wfs)
+    // spans (load on an epoch change's fork, query, magic_rewrite)
     // already sit in the ring between dequeue and solve_done.
     obs::TraceBuffer* ring = session->engine().trace();
     ring->Span("request", ctx.submit_ns, ctx.serialize_done_ns);

@@ -92,11 +92,8 @@ struct ExecutorOptions {
   /// stderr; tests install a capturing sink. Called outside all executor
   /// locks, possibly from several workers at once — must be thread-safe.
   std::function<void(const std::string&)> slow_query_sink;
-  /// Run a well-founded solve after every epoch-change materialization
-  /// (see EngineSession): warms the scheduler's component cache and puts
-  /// per-component spans into the triggering request's trace lane.
-  bool warm_wfs = false;
-  /// Per-worker-session engine configuration. trace_capacity > 0 gives
+  /// The options every worker forks the snapshot's prototype with (its
+  /// budgets and trace settings; EngineSession). trace_capacity > 0 gives
   /// each worker a trace ring merged into the aggregate (lane = worker).
   EngineOptions engine;
 };
@@ -104,8 +101,9 @@ struct ExecutorOptions {
 /// Fixed thread pool answering magic-sets queries against the currently
 /// published snapshot.
 ///
-/// Each worker owns an `EngineSession` (its own term store — nothing in
-/// the eval layer is shared mutable), rebuilt only on epoch change.
+/// Each worker owns an `EngineSession`: a private fork of the current
+/// snapshot's prototype (its own term store — nothing in the eval layer
+/// is shared mutable), forked again only on epoch change.
 /// Per-query metrics accumulate in the worker engine's registry and are
 /// merged into a service-level aggregate after every query, under one
 /// mutex — the `MergeInto` path that makes multi-threaded observability

@@ -21,8 +21,8 @@ struct RequestContext {
   uint64_t dequeue_ns = 0;           // Picked up by a worker.
   uint64_t solve_done_ns = 0;        // Engine finished (or failed).
   uint64_t serialize_done_ns = 0;    // Response fully assembled.
-  /// True when materializing the snapshot rebuilt or extended the worker
-  /// engine (epoch change) rather than hitting the same-epoch fast path.
+  /// True when the worker forked a new epoch's prototype for this request
+  /// rather than hitting the same-epoch fast path.
   bool rebuilt = false;
 
   uint64_t queue_wait_ns() const {

@@ -95,14 +95,12 @@ std::string SnapshotStore::PublishDelta(std::string_view additions,
   std::shared_ptr<const ModelSnapshot> previous = Current();
   // Fork the current prototype — term store, program, and
   // settled-component cache — and maintain it in place. The composed text
-  // ApplyDeltaPublish returns is the equivalent from-scratch source: a
-  // cold Load of it yields the same program, which keeps every session
-  // rebuild path byte-identical to the maintained engine.
+  // is the equivalent from-scratch source: a cold Load of it yields the
+  // same program as the maintained engine.
   std::unique_ptr<Engine> fork = previous->prototype().Fork();
-  DeltaPublishResult applied =
-      ApplyDeltaPublish(*fork, previous->program_text(), additions,
-                        retractions, /*solve_wfs=*/false);
-  if (!applied.ok) return applied.error;
+  std::vector<size_t> removed;
+  std::string error = fork->ApplyDelta(additions, retractions, &removed);
+  if (!error.empty()) return error;
   std::shared_ptr<ModelSnapshot> snapshot(new ModelSnapshot());
   if (solve_wfs && fork->program().size() > 0) {
     snapshot->wfs_ = fork->SolveWellFounded();
@@ -112,13 +110,10 @@ std::string SnapshotStore::PublishDelta(std::string_view additions,
     snapshot->has_wfs_ = true;
   }
   snapshot->epoch_ = next_epoch_;
-  snapshot->program_text_ = std::move(applied.composed_text);
+  snapshot->program_text_ =
+      ComposeDeltaText(previous->program_text(), removed, additions);
   snapshot->prototype_ = std::move(fork);
   snapshot->seeded_ = true;
-  snapshot->delta_built_ = true;
-  snapshot->delta_base_epoch_ = previous->epoch();
-  snapshot->delta_add_ = std::string(additions);
-  snapshot->delta_retract_ = std::string(retractions);
   ++next_epoch_;
   delta_builds_.fetch_add(1, std::memory_order_relaxed);
   Install(std::move(snapshot));
@@ -129,51 +124,11 @@ std::string EngineSession::Materialize(const ModelSnapshot& snapshot,
                                        RequestContext* ctx) {
   if (engine_ != nullptr && epoch_ == snapshot.epoch()) return "";
   if (ctx != nullptr) ctx->rebuilt = true;
-  const std::string& next_text = snapshot.program_text();
-  bool materialized = false;
-  if (engine_ != nullptr && snapshot.delta_built() &&
-      epoch_ == snapshot.delta_base_epoch()) {
-    // Delta publish and this session sits exactly at the base epoch:
-    // maintain the warm engine in place. ApplyDelta keeps the scheduler's
-    // settled-component cache, so the next solve re-resolves only the
-    // components the delta reaches. A failure (unreachable: the publisher
-    // applied the same delta) falls through to the full rebuild below.
-    std::string error = engine_->ApplyDelta(snapshot.delta_add(),
-                                            snapshot.delta_retract(),
-                                            /*removed_indices=*/nullptr);
-    if (error.empty()) {
-      ++incremental_;
-      materialized = true;
-    }
-  }
-  if (!materialized && engine_ != nullptr && next_text.size() > text_.size() &&
-      next_text.compare(0, text_.size(), text_) == 0) {
-    // Append-only publish (load_more): keep the warm engine — and with it
-    // the scheduler's settled-component cache — and parse only the new
-    // suffix. A failure falls through to the full rebuild below.
-    std::string error =
-        engine_->LoadMore(std::string_view(next_text).substr(text_.size()));
-    if (error.empty()) {
-      ++incremental_;
-      materialized = true;
-    }
-  }
-  if (!materialized) {
-    auto fresh = std::make_unique<Engine>(options_);
-    std::string error = fresh->Load(next_text);
-    if (!error.empty()) return error;  // Unreachable: publisher parsed it.
-    engine_ = std::move(fresh);
-  }
+  // Free the previous epoch's engine before forking: it holds every term
+  // its queries interned.
+  engine_.reset();
+  engine_ = snapshot.prototype().Fork(options_);
   epoch_ = snapshot.epoch();
-  text_ = next_text;
-  if (warm_wfs_ && engine_->program().size() > 0) {
-    // Pre-settle the scheduler cache for the new epoch. The solve runs
-    // under this engine's obs sinks, so its component spans land in the
-    // worker's trace ring (attributed to the triggering request) and its
-    // counters in the worker registry. An unsolvable program surfaces on
-    // the query itself, not here.
-    engine_->SolveWellFounded();
-  }
   return "";
 }
 

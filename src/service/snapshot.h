@@ -25,10 +25,11 @@ namespace hilog::service {
 ///
 /// Queries intern new terms (the magic rewrite, the evaluator), so they
 /// cannot run against the shared prototype store. Each worker instead
-/// holds an `EngineSession` that materializes its own engine from the
-/// snapshot's source — the same deterministic code path as a sequential
-/// `Engine`, which is what makes service answers byte-identical to
-/// `Engine::Query`.
+/// holds an `EngineSession` that forks its own engine from the prototype.
+/// A fork holds the same program, in the same rule order, as a cold
+/// `Load` of the snapshot's text, and magic sets orders its answers by
+/// rule and derivation order, not by term id, so service answers are
+/// byte-identical to `Engine::Query` on that text.
 class ModelSnapshot {
  public:
   uint64_t epoch() const { return epoch_; }
@@ -49,16 +50,6 @@ class ModelSnapshot {
   /// recomputed only the components the appended rules touch.
   bool seeded() const { return seeded_; }
 
-  /// True when this snapshot was published through PublishDelta. A
-  /// delta-built snapshot carries the delta itself (`delta_add`,
-  /// `delta_retract`) and the epoch it was applied against
-  /// (`delta_base_epoch`), so a session whose warm engine sits exactly at
-  /// the base epoch can maintain in place instead of rebuilding.
-  bool delta_built() const { return delta_built_; }
-  uint64_t delta_base_epoch() const { return delta_base_epoch_; }
-  const std::string& delta_add() const { return delta_add_; }
-  const std::string& delta_retract() const { return delta_retract_; }
-
  private:
   friend class SnapshotStore;
   ModelSnapshot() = default;
@@ -68,10 +59,6 @@ class ModelSnapshot {
   std::unique_ptr<Engine> prototype_;
   bool has_wfs_ = false;
   bool seeded_ = false;
-  bool delta_built_ = false;
-  uint64_t delta_base_epoch_ = 0;
-  std::string delta_add_;
-  std::string delta_retract_;
   Engine::WfsAnswer wfs_;
 };
 
@@ -159,54 +146,33 @@ class SnapshotStore {
   std::atomic<uint64_t> delta_builds_{0};
 };
 
-/// A worker-thread-confined engine, rebuilt lazily from published
-/// snapshots: `Materialize` is a no-op while the epoch is unchanged, so
-/// across the many queries of one epoch the session keeps its warmed
-/// term store, fact-only relation record and magic's EDB rows ("keep a
-/// saturated model warm").
-///
-/// When a new epoch's source is a pure extension of the session's current
-/// text (the service's append-only load_more), the session keeps its warm
-/// engine and feeds it only the suffix via Engine::LoadMore. That
-/// preserves the engine's settled-component scheduler cache, so the next
-/// well-founded solve recomputes only the components the appended rules
-/// touch (src/eval/scheduler.h). A delta-built snapshot whose base epoch
-/// matches the session's current epoch is maintained the same way: the
-/// warm engine replays the delta via Engine::ApplyDelta instead of
-/// reloading the composed text.
+/// A worker-thread-confined engine, forked from published snapshots:
+/// `Materialize` is a no-op while the epoch is unchanged, so across the
+/// many queries of one epoch the session keeps its warmed term store and
+/// magic's EDB rows. A new epoch replaces the engine with a fork of the
+/// snapshot's prototype, which brings the prototype's settled components,
+/// plan and fact-only relation record (shared), its kernel cache, and
+/// nothing of the session's earlier epochs.
 class EngineSession {
  public:
-  /// `warm_wfs` makes every epoch change run a well-founded solve right
-  /// after materializing: it pre-settles the scheduler's component cache
-  /// (so the epoch's first real query doesn't pay for it) and — because
-  /// the solve runs under the worker engine's own obs sinks — lands the
-  /// per-component spans in the worker's trace ring, attributing
-  /// snapshot-warm-up cost to the request that triggered it.
-  explicit EngineSession(EngineOptions options = EngineOptions(),
-                         bool warm_wfs = false)
-      : options_(std::move(options)), warm_wfs_(warm_wfs) {}
+  explicit EngineSession(EngineOptions options = EngineOptions())
+      : options_(std::move(options)) {}
 
-  /// Ensures the private engine holds exactly `snapshot`'s program.
-  /// Returns "" on success (including the fast same-epoch path). When
-  /// `ctx` is given, stamps ctx->rebuilt on the epoch-change paths.
+  /// Ensures the private engine holds exactly `snapshot`'s program. When
+  /// `ctx` is given, stamps ctx->rebuilt on an epoch change. Always
+  /// returns "": a fork cannot fail.
   std::string Materialize(const ModelSnapshot& snapshot,
                           RequestContext* ctx = nullptr);
 
-  /// Valid after the first successful Materialize.
+  /// Valid after the first Materialize.
   Engine& engine() { return *engine_; }
   bool materialized() const { return engine_ != nullptr; }
   uint64_t epoch() const { return epoch_; }
-  /// How many Materialize calls took the incremental LoadMore path
-  /// instead of a full rebuild (diagnostics and tests).
-  uint64_t incremental_materializations() const { return incremental_; }
 
  private:
   EngineOptions options_;
-  bool warm_wfs_ = false;
   std::unique_ptr<Engine> engine_;
   uint64_t epoch_ = 0;
-  std::string text_;  // Source currently loaded into engine_.
-  uint64_t incremental_ = 0;
 };
 
 }  // namespace hilog::service

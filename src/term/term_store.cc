@@ -17,6 +17,12 @@ TermStore::TermStore() {
 }
 
 void TermStore::CopyFrom(const TermStore& other) {
+  // Reserve the source's capacities first, so the copy keeps growing on
+  // the source's power-of-two schedule instead of reallocating from its
+  // exact size on the first intern.
+  nodes_.reserve(other.nodes_.capacity());
+  strings_.reserve(other.strings_.capacity());
+  args_pool_.reserve(other.args_pool_.capacity());
   nodes_ = other.nodes_;
   strings_ = other.strings_;
   args_pool_ = other.args_pool_;

@@ -8,8 +8,8 @@
 //    unguarded names fall back to one component;
 //  - the condensation splits independent predicates into components and
 //    settles acyclic atoms without Gamma applications;
-//  - the engine's component cache is reused across LoadMore, and the
-//    service session materializes append publishes incrementally.
+//  - the engine's component cache is reused across LoadMore, and a
+//    service session's fork of a solved append publish replays it.
 
 #include <gtest/gtest.h>
 
@@ -290,43 +290,38 @@ TEST(SchedulerTest, LoadInvalidatesTheComponentCache) {
   EXPECT_EQ(engine.scheduler_cache().size(), 0u);
 }
 
-TEST(SchedulerTest, SessionMaterializesAppendsIncrementally) {
+// An append publish forks the previous prototype, so its publish-time
+// solve re-solves only the appended chain. A session then forks the solved
+// prototype: its first solve builds no plan, replays every component, and
+// agrees with a cold load of the served text.
+TEST(SchedulerTest, SessionForkReplaysSolvedAppend) {
   service::SnapshotStore snapshots;
   ASSERT_EQ(snapshots.Publish(WinChain("m", 6), /*append=*/false,
-                              /*solve_wfs=*/false),
+                              /*solve_wfs=*/true),
             "");
   service::EngineSession session;
-  ASSERT_EQ(session.Materialize(*snapshots.Current()), "");
-  ASSERT_TRUE(session.engine().SolveWellFounded().ok);
-  EXPECT_EQ(session.incremental_materializations(), 0u);
+  session.Materialize(*snapshots.Current());
 
   ASSERT_EQ(snapshots.Publish(WinChain("k", 6), /*append=*/true,
-                              /*solve_wfs=*/false),
+                              /*solve_wfs=*/true),
             "");
-  ASSERT_EQ(session.Materialize(*snapshots.Current()), "");
-  EXPECT_EQ(session.incremental_materializations(), 1u);
+  ASSERT_TRUE(snapshots.Current()->seeded());
+  session.Materialize(*snapshots.Current());
   EXPECT_EQ(session.epoch(), snapshots.epoch());
-
-  // The warm engine kept its component cache across the append.
   Engine::WfsAnswer answer = session.engine().SolveWellFounded();
   ASSERT_TRUE(answer.ok) << answer.notes;
-  EXPECT_GE(
-      session.engine().metrics().value(obs::Counter::kSchedComponentsReused),
-      2u);
+  EXPECT_EQ(session.engine().metrics().value(obs::Counter::kSchedPlansBuilt),
+            0u);
+  EXPECT_EQ(answer.sched.components, 0u);
 
   Engine cold;
   ASSERT_EQ(cold.Load(snapshots.Current()->program_text()), "");
   Engine::WfsAnswer reference = cold.SolveWellFounded();
   ASSERT_TRUE(reference.ok) << reference.notes;
+  EXPECT_GT(reference.sched.components, 0u);
+  EXPECT_EQ(answer.sched.components_reused, reference.sched.components);
   EXPECT_EQ(TrueAtomStrings(session.engine().store(), answer.model),
             TrueAtomStrings(cold.store(), reference.model));
-
-  // A non-append publish cannot take the incremental path.
-  ASSERT_EQ(snapshots.Publish(WinChain("z", 3), /*append=*/false,
-                              /*solve_wfs=*/false),
-            "");
-  ASSERT_EQ(session.Materialize(*snapshots.Current()), "");
-  EXPECT_EQ(session.incremental_materializations(), 1u);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // ThreadSanitizer in CI: many worker threads answering many queries
 // against one published snapshot (answers must equal the sequential
 // engine's), deadline storms racing cancellation against completion, and
-// a publisher swapping epochs mid-flight while clients hammer the server
-// over real sockets.
+// publishers swapping epochs mid-flight (appends, and delta publishes that
+// fork the prototype while workers fork it) while clients hammer the
+// server over real sockets.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -11,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -177,6 +179,67 @@ TEST(ServiceStressTest, DeadlineStormNeverCorrupts) {
   executor.Shutdown();
 }
 
+// One socket client: sends `queries` round-robin, each awaiting its
+// response, until it has sent at least 40 and `done` is set. `check` gets
+// each ok response's epoch, query and answers and returns why they are
+// wrong, or "". Returns the first failure, or "".
+std::string QueryOverSocket(
+    int port, const std::vector<std::string>& queries,
+    const std::atomic<bool>& done,
+    const std::function<std::string(uint64_t, const std::string&,
+                                    const std::vector<std::string>&)>& check) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                          sizeof(addr)) != 0) {
+    if (fd >= 0) ::close(fd);
+    return "connect failed";
+  }
+  std::string failure;
+  std::string buffer;
+  int sent_queries = 0;
+  while (failure.empty() && (sent_queries < 40 || !done.load())) {
+    const std::string& q = queries[sent_queries % queries.size()];
+    std::string line = "{\"op\":\"query\",\"q\":\"" + q + "\"}\n";
+    if (::send(fd, line.data(), line.size(), 0) < 0) {
+      failure = "send failed";
+      break;
+    }
+    while (buffer.find('\n') == std::string::npos) {
+      char chunk[4096];
+      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0) {
+        ::close(fd);
+        return "recv failed";
+      }
+      buffer.append(chunk, static_cast<size_t>(n));
+    }
+    std::string response = buffer.substr(0, buffer.find('\n'));
+    buffer.erase(0, buffer.find('\n') + 1);
+    // Decode just enough: epoch and the answers array.
+    service::JsonValue value;
+    std::string error;
+    if (!service::ParseJson(response, &value, &error) ||
+        value.GetString("status") != "ok") {
+      failure = "bad response: " + response;
+      break;
+    }
+    std::vector<std::string> answers;
+    if (const service::JsonValue* arr = value.Get("answers")) {
+      for (const service::JsonValue& a : arr->array) {
+        answers.push_back(a.string);
+      }
+    }
+    failure = check(value.GetUint("epoch"), q, answers);
+    ++sent_queries;
+  }
+  ::close(fd);
+  return failure;
+}
+
 // Publisher swaps epochs while socket clients hammer the server; every
 // response must carry answers consistent with the epoch it reports.
 TEST(ServiceStressTest, ServerEpochSwapUnderClientLoad) {
@@ -229,65 +292,19 @@ TEST(ServiceStressTest, ServerEpochSwapUnderClientLoad) {
   std::vector<std::string> failures(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                              sizeof(addr)) != 0) {
-        failures[c] = "connect failed";
-        if (fd >= 0) ::close(fd);
-        return;
-      }
-      std::string buffer;
-      int sent_queries = 0;
-      while (sent_queries < 40 || !publishing_done.load()) {
-        const std::string& q = queries[sent_queries % queries.size()];
-        std::string line = "{\"op\":\"query\",\"q\":\"" + q + "\"}\n";
-        if (::send(fd, line.data(), line.size(), 0) < 0) {
-          failures[c] = "send failed";
-          break;
-        }
-        while (buffer.find('\n') == std::string::npos) {
-          char chunk[4096];
-          ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-          if (n <= 0) {
-            failures[c] = "recv failed";
-            ::close(fd);
-            return;
-          }
-          buffer.append(chunk, static_cast<size_t>(n));
-        }
-        std::string response = buffer.substr(0, buffer.find('\n'));
-        buffer.erase(0, buffer.find('\n') + 1);
-        // Decode just enough: epoch and the answers array.
-        service::JsonValue value;
-        std::string error;
-        if (!service::ParseJson(response, &value, &error) ||
-            value.GetString("status") != "ok") {
-          failures[c] = "bad response: " + response;
-          break;
-        }
-        const uint64_t epoch = value.GetUint("epoch");
-        if (epoch < 1 || epoch > programs.size()) {
-          failures[c] = "epoch out of range: " + response;
-          break;
-        }
-        std::vector<std::string> answers;
-        if (const service::JsonValue* arr = value.Get("answers")) {
-          for (const service::JsonValue& a : arr->array) {
-            answers.push_back(a.string);
-          }
-        }
-        if (answers != expected[epoch - 1][q]) {
-          failures[c] = "answers inconsistent with epoch " +
-                        std::to_string(epoch) + " for " + q;
-          break;
-        }
-        ++sent_queries;
-      }
-      ::close(fd);
+      failures[c] = QueryOverSocket(
+          server.port(), queries, publishing_done,
+          [&](uint64_t epoch, const std::string& q,
+              const std::vector<std::string>& answers) -> std::string {
+            if (epoch < 1 || epoch > programs.size()) {
+              return "epoch out of range: " + std::to_string(epoch);
+            }
+            if (answers != expected[epoch - 1][q]) {
+              return "answers inconsistent with epoch " +
+                     std::to_string(epoch) + " for " + q;
+            }
+            return "";
+          });
     });
   }
   for (auto& t : clients) t.join();
@@ -297,6 +314,84 @@ TEST(ServiceStressTest, ServerEpochSwapUnderClientLoad) {
   }
   server.Stop();
   executor->Shutdown();
+  EXPECT_GE(executor->stats().ok, static_cast<uint64_t>(kClients * 40));
+}
+
+// A publisher runs 40 delta publishes, alternately retracting and
+// re-adding the chain's last move, while socket clients query. Each
+// publish forks the current prototype while workers fork it too; every
+// answer must match the parity of the epoch it reports.
+TEST(ServiceStressTest, ServerDeltaPublishesUnderClientLoad) {
+  const int kChain = 10;
+  const int kDeltas = 40;
+  const std::string program = WinChainSlice(0, kChain);
+  const std::string last_move = "m(n9,n10).";
+  std::string retracted = program;
+  retracted.erase(retracted.find(last_move), last_move.size() + 1);
+  std::vector<std::string> queries;
+  for (int i = 0; i < kChain; ++i) {
+    queries.push_back("w(n" + std::to_string(i) + ")");
+  }
+  // expected[0] holds at odd epochs (the move present), expected[1] at
+  // even ones (the move retracted).
+  std::map<std::string, std::vector<std::string>> expected[2];
+  for (const std::string& q : queries) {
+    expected[0][q] = SequentialAnswers(program, q);
+    expected[1][q] = SequentialAnswers(retracted, q);
+  }
+
+  auto snapshots = std::make_shared<SnapshotStore>();
+  ASSERT_EQ(snapshots->Publish(program, false, true), "");
+  ExecutorOptions options;
+  options.threads = 4;
+  options.queue_capacity = 1024;
+  auto executor = std::make_shared<QueryExecutor>(snapshots, options);
+  ServerOptions server_options;
+  server_options.port = 0;
+  LineServer server(snapshots, executor, server_options);
+  ASSERT_EQ(server.Start(), "");
+
+  std::atomic<bool> publishing_done{false};
+  std::thread publisher([&] {
+    for (int d = 0; d < kDeltas; ++d) {
+      const bool retract = d % 2 == 0;
+      EXPECT_EQ(snapshots->PublishDelta(retract ? "" : last_move + "\n",
+                                        retract ? last_move : "",
+                                        /*solve_wfs=*/true),
+                "");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    publishing_done.store(true);
+  });
+
+  const int kClients = 4;
+  std::vector<std::thread> clients;
+  std::vector<std::string> failures(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      failures[c] = QueryOverSocket(
+          server.port(), queries, publishing_done,
+          [&](uint64_t epoch, const std::string& q,
+              const std::vector<std::string>& answers) -> std::string {
+            if (epoch < 1 || epoch > kDeltas + 1) {
+              return "epoch out of range: " + std::to_string(epoch);
+            }
+            if (answers != expected[(epoch - 1) % 2][q]) {
+              return "answers inconsistent with epoch " +
+                     std::to_string(epoch) + " for " + q;
+            }
+            return "";
+          });
+    });
+  }
+  for (auto& t : clients) t.join();
+  publisher.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(failures[c], "") << "client " << c;
+  }
+  server.Stop();
+  executor->Shutdown();
+  EXPECT_EQ(snapshots->epoch(), static_cast<uint64_t>(kDeltas + 1));
   EXPECT_GE(executor->stats().ok, static_cast<uint64_t>(kClients * 40));
 }
 

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "random_programs.h"
 #include "src/core/engine.h"
 #include "src/eval/cancel.h"
 #include "src/obs/metrics.h"
@@ -291,9 +292,7 @@ TEST(SnapshotStoreTest, PublishDeltaMaintainsAndComposesText) {
             "");
   auto snapshot = store.Current();
   EXPECT_EQ(snapshot->epoch(), 2u);
-  EXPECT_TRUE(snapshot->delta_built());
   EXPECT_TRUE(snapshot->seeded());
-  EXPECT_EQ(snapshot->delta_base_epoch(), 1u);
   EXPECT_EQ(snapshot->rules(), 13u);  // 12 - 1 retracted + 2 added.
   EXPECT_EQ(store.delta_builds(), 1u);
   EXPECT_EQ(store.full_rebuilds(), 1u);
@@ -356,40 +355,154 @@ TEST(EngineSessionTest, MaterializeIsNoOpWithinEpoch) {
   EXPECT_EQ(session.engine().program().size(), 12u);
 }
 
-// A session sitting exactly at a delta's base epoch maintains its warm
-// engine in place (Engine::ApplyDelta) instead of rebuilding; a session
-// that missed the base epoch rebuilds cold from the composed text. Both
-// serve identical answers.
-TEST(EngineSessionTest, MaterializeMaintainsWarmEngineAcrossDelta) {
+// A delta publish solves its fork of the previous prototype; a session
+// then forks that solved prototype. The session's first solve builds no
+// plan and replays every component, and its answers equal a cold load's.
+TEST(EngineSessionTest, MaterializeForksSolvedDeltaPrototype) {
   SnapshotStore store;
-  ASSERT_EQ(store.Publish(WinChainSlice(0, 6), false, false), "");
+  ASSERT_EQ(store.Publish(WinChainSlice(0, 6), false, /*solve_wfs=*/true),
+            "");
   EngineSession session;
-  ASSERT_EQ(session.Materialize(*store.Current()), "");
-  Engine* warm = &session.engine();
-  EXPECT_EQ(session.incremental_materializations(), 0u);
+  session.Materialize(*store.Current());
 
-  ASSERT_EQ(store.PublishDelta("p(a).", "m(n5,n6).", false), "");
-  ASSERT_EQ(session.Materialize(*store.Current()), "");
-  EXPECT_EQ(&session.engine(), warm);  // Maintained, not rebuilt.
-  EXPECT_EQ(session.incremental_materializations(), 1u);
+  ASSERT_EQ(store.PublishDelta("p(a).", "m(n5,n6).", /*solve_wfs=*/true), "");
+  auto snapshot = store.Current();
+  session.Materialize(*snapshot);
   EXPECT_EQ(session.epoch(), 2u);
   EXPECT_EQ(session.engine().program().size(), 12u);  // 12 - 1 + 1.
+  Engine::WfsAnswer forked = session.engine().SolveWellFounded();
+  ASSERT_TRUE(forked.ok) << forked.notes;
+  EXPECT_EQ(
+      session.engine().metrics().value(obs::Counter::kSchedPlansBuilt), 0u);
+  EXPECT_EQ(forked.sched.components, 0u);
 
-  EngineSession cold;
-  ASSERT_EQ(cold.Materialize(*store.Current()), "");
-  EXPECT_EQ(cold.incremental_materializations(), 0u);
-  EXPECT_EQ(cold.engine().program().size(), 12u);
-  Engine::QueryAnswer maintained = session.engine().Query("w(X)");
-  Engine::QueryAnswer rebuilt = cold.engine().Query("w(X)");
-  ASSERT_TRUE(maintained.ok && rebuilt.ok);
-  std::vector<std::string> got, want;
-  for (TermId a : maintained.answers) {
-    got.push_back(session.engine().store().ToString(a));
+  Engine cold;
+  ASSERT_EQ(cold.Load(snapshot->program_text()), "");
+  Engine::WfsAnswer reference = cold.SolveWellFounded();
+  ASSERT_TRUE(reference.ok) << reference.notes;
+  EXPECT_GT(reference.sched.components, 0u);
+  EXPECT_EQ(forked.sched.components_reused, reference.sched.components);
+  auto rendered = [](const Engine& engine, const std::vector<TermId>& atoms) {
+    std::vector<std::string> out;
+    for (TermId atom : atoms) out.push_back(engine.store().ToString(atom));
+    return out;
+  };
+  EXPECT_EQ(rendered(session.engine(), forked.model.TrueAtoms()),
+            rendered(cold, reference.model.TrueAtoms()));
+  Engine::QueryAnswer served = session.engine().Query("w(X)");
+  Engine::QueryAnswer loaded = cold.Query("w(X)");
+  ASSERT_TRUE(served.ok && loaded.ok);
+  EXPECT_EQ(rendered(session.engine(), served.answers),
+            rendered(cold, loaded.answers));
+}
+
+// Every field of a query answer that the wire carries, in order.
+std::string RenderedQuery(Engine& engine, const std::string& query) {
+  Engine::QueryAnswer answer = engine.Query(query);
+  if (!answer.ok) return "error: " + answer.error;
+  std::string out = service::QueryStatusWireName(answer.ground_status);
+  out += " |";
+  for (TermId atom : answer.answers) {
+    out += ' ';
+    out += engine.store().ToString(atom);
   }
-  for (TermId a : rebuilt.answers) {
-    want.push_back(cold.engine().store().ToString(a));
+  out += " | unsettled";
+  for (TermId atom : answer.unsettled_negative_calls) {
+    out += ' ';
+    out += engine.store().ToString(atom);
   }
-  EXPECT_EQ(got, want);
+  out += " | derived ";
+  out += std::to_string(answer.facts_derived);
+  return out;
+}
+
+// One program's epochs for the fork-versus-cold-load check: six deltas
+// alternately retract and re-add `fact`, an append publish adds
+// `appended`, and a replacing publish installs `replacement`.
+struct EpochScript {
+  std::string name;
+  std::string program;
+  std::string fact;
+  std::string appended;
+  std::string replacement;
+  std::vector<std::string> queries;
+};
+
+// At every epoch the session's fork answers each query exactly as a cold
+// Load of the snapshot's text does, and holds exactly the prototype's
+// terms: nothing that the session's earlier epochs interned.
+void ExpectForkMatchesColdLoad(const EpochScript& script, bool solve_wfs) {
+  SCOPED_TRACE(script.name + (solve_wfs ? ", solved" : ", unsolved"));
+  SnapshotStore store;
+  EngineSession session;
+  auto check_epoch = [&] {
+    std::shared_ptr<const ModelSnapshot> snapshot = store.Current();
+    session.Materialize(*snapshot);
+    ASSERT_EQ(session.epoch(), snapshot->epoch());
+    EXPECT_EQ(session.engine().store().size(),
+              snapshot->prototype().store().size())
+        << "epoch " << snapshot->epoch();
+    Engine cold;
+    ASSERT_EQ(cold.Load(snapshot->program_text()), "");
+    for (const std::string& query : script.queries) {
+      EXPECT_EQ(RenderedQuery(session.engine(), query),
+                RenderedQuery(cold, query))
+          << "epoch " << snapshot->epoch() << ", query " << query;
+    }
+  };
+  ASSERT_EQ(store.Publish(script.program, false, solve_wfs), "");
+  check_epoch();
+  for (int step = 0; step < 6; ++step) {
+    const bool retract = step % 2 == 0;
+    ASSERT_EQ(store.PublishDelta(retract ? "" : script.fact + "\n",
+                                 retract ? script.fact : "", solve_wfs),
+              "");
+    check_epoch();
+  }
+  ASSERT_EQ(store.Publish(script.appended, /*append=*/true, solve_wfs), "");
+  check_epoch();
+  ASSERT_EQ(store.Publish(script.replacement, /*append=*/false, solve_wfs),
+            "");
+  check_epoch();
+}
+
+// The first statement of `text` that starts with `prefix`, through its
+// closing period.
+std::string FirstStatement(const std::string& text, const std::string& prefix) {
+  const size_t at = text.compare(0, prefix.size(), prefix) == 0
+                        ? 0
+                        : text.find("\n" + prefix) + 1;
+  return text.substr(at, text.find('.', at) + 1 - at);
+}
+
+TEST(EngineSessionTest, ForkMatchesColdLoadAcrossEpochs) {
+  std::vector<EpochScript> scripts;
+  scripts.push_back({"win chain", WinChainSlice(0, 8), "m(n7,n8).",
+                     WinChainSlice(8, 10), WinChainSlice(0, 5),
+                     {"w(X)", "w(n0)", "w(n3)", "m(n7,X)", "m(X,Y)"}});
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    const std::string program = testing::RandomGameProgram(seed, seed == 2);
+    scripts.push_back(
+        {"game seed " + std::to_string(seed), program,
+         FirstStatement(program, "mv0(n0,"),
+         "game(mv9).\nmv9(n0,n1).\nmv9(n1,n2).\n",
+         testing::RandomGameProgram(seed + 50, seed != 2),
+         {"winning(mv0)(X)", "winning(mv0)(n0)", "winning(mv1)(n1)",
+          "winning(M)(n0)", "winning(M)(X)", "game(M)", "mv0(n0,X)"}});
+  }
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    const std::string program = testing::RandomVariableHeadProgram(seed);
+    scripts.push_back({"variable heads seed " + std::to_string(seed),
+                       program, FirstStatement(program, "sel("),
+                       "sel(q).\nq(b).\n",
+                       testing::RandomVariableHeadProgram(seed + 50),
+                       {"t0(Y)", "t1(a)", "t2(Y)", "p(Y)", "sel(X)", "X(c)",
+                        "h(X)(Y)"}});
+  }
+  for (const EpochScript& script : scripts) {
+    ExpectForkMatchesColdLoad(script, /*solve_wfs=*/false);
+    ExpectForkMatchesColdLoad(script, /*solve_wfs=*/true);
+  }
 }
 
 // The core tentpole claim: concurrent answers are byte-identical to the
@@ -608,6 +721,25 @@ TEST(QueryExecutorTest, EpochSwapMidFlightServesPerEpochAnswers) {
         << q << " at epoch " << got.epoch;
   }
   executor.Shutdown();
+}
+
+// A worker forks once per epoch, and each fork is one `load` phase call
+// in the merged registry: the count a client reads to know that every
+// worker holds the current epoch.
+TEST(QueryExecutorTest, EachEpochForkIsOneLoadPhase) {
+  auto snapshots = std::make_shared<SnapshotStore>();
+  ExecutorOptions options;
+  options.threads = 1;
+  QueryExecutor executor(snapshots, options);
+  ASSERT_EQ(snapshots->Publish(WinChainSlice(0, 6), false, true), "");
+  EXPECT_EQ(executor.Execute({"w(n0)", 0, {}}).status, ServiceStatus::kOk);
+  EXPECT_EQ(executor.Execute({"w(n1)", 0, {}}).status, ServiceStatus::kOk);
+  ASSERT_EQ(snapshots->PublishDelta("", "m(n5,n6).", true), "");
+  EXPECT_EQ(executor.Execute({"w(n0)", 0, {}}).status, ServiceStatus::kOk);
+  ASSERT_EQ(snapshots->Publish(WinChainSlice(6, 8), true, true), "");
+  EXPECT_EQ(executor.Execute({"w(n0)", 0, {}}).status, ServiceStatus::kOk);
+  executor.Shutdown();
+  EXPECT_EQ(executor.AggregatedMetrics().phase(obs::Phase::kLoad).calls, 3u);
 }
 
 TEST(QueryExecutorTest, AggregatesPerQueryMetricsAcrossWorkers) {
@@ -1205,20 +1337,19 @@ TEST(AdminOpsTest, StatsOpSharesRegistrySchemaWithCli) {
   EXPECT_EQ(counters->GetUint("engine.queries"), 1u);
 }
 
-TEST(AdminOpsTest, TraceExportHasRequestAndComponentSpans) {
+TEST(AdminOpsTest, TraceExportHasRequestAndLoadSpans) {
   auto snapshots = std::make_shared<SnapshotStore>();
   ASSERT_EQ(snapshots->Publish(WinChainSlice(0, 4), false, false), "");
   ExecutorOptions options;
   options.threads = 1;
   options.engine.trace_capacity = 4096;
-  options.warm_wfs = true;  // Epoch-change WFS solve in the worker lane.
   QueryExecutor executor(snapshots, options);
   ASSERT_EQ(executor.Execute({"w(n0)", 0, {}}).status, ServiceStatus::kOk);
   std::string trace = executor.AggregatedTraceJson();
   executor.Shutdown();
   // The per-request span tree: whole request + queue wait + serialize
-  // tail, plus at least one scheduler-component child from the warm
-  // solve — all in the Chrome export.
+  // tail, plus the worker's fork of the new epoch as a `load` phase — all
+  // in the Chrome export.
   EXPECT_NE(trace.find("\"name\":\"request\",\"ph\":\"X\""),
             std::string::npos)
       << trace;
@@ -1227,9 +1358,9 @@ TEST(AdminOpsTest, TraceExportHasRequestAndComponentSpans) {
   EXPECT_NE(trace.find("\"name\":\"serialize\",\"ph\":\"X\""),
             std::string::npos);
   EXPECT_NE(trace.find("\"dur\":"), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"sched.component\",\"ph\":\"B\""),
+  EXPECT_NE(trace.find("\"name\":\"load\",\"ph\":\"B\""),
             std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"sched.component\",\"ph\":\"E\""),
+  EXPECT_NE(trace.find("\"name\":\"load\",\"ph\":\"E\""),
             std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"query.id\""), std::string::npos);
 }
